@@ -23,8 +23,6 @@
 // is timed once and its cells are normalized against it (the paper's y-axis).
 // --no_timing blanks every wall-clock column so serial and parallel decks
 // emit byte-identical csv/json.
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -46,8 +44,7 @@ using namespace adcc;
 // Per-process scratch, removed at exit: concurrent invocations (ctest -j runs
 // both smoke matrices at once) must not share ckpt-disk slot files.
 const std::filesystem::path& scratch_dir() {
-  static const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / ("adccbench." + std::to_string(::getpid()));
+  static const std::filesystem::path dir = core::default_scratch_dir("bench");
   return dir;
 }
 

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     auto scenario = [&](core::Mode m) {
       core::ScenarioConfig cfg;
       cfg.mode = m;
-      cfg.env.scratch_dir = std::filesystem::temp_directory_path() / "adcc_fig13";
+      cfg.env.scratch_dir = core::default_scratch_dir("fig13");
       workload.tune_env(m, cfg.env);
       cfg.reps = 1;
       return cfg;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   core::ScenarioConfig base;
   base.env.disk_throttle_bytes_per_s = disk_mbps * 1e6;
-  base.env.scratch_dir = std::filesystem::temp_directory_path() / "adcc_fig4";
+  base.env.scratch_dir = core::default_scratch_dir("fig4");
   base.reps = reps;
   base.backend = &backend;
 

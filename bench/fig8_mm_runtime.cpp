@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
     core::ScenarioConfig base;
     base.env.disk_throttle_bytes_per_s = disk_mbps * 1e6;
-    base.env.scratch_dir = std::filesystem::temp_directory_path() / "adcc_fig8";
+    base.env.scratch_dir = core::default_scratch_dir("fig8");
     base.backend = &backend;
     auto scenario = [&](core::Mode m, int mode_reps, bool warmup) {
       core::ScenarioConfig cfg = base;

@@ -1,11 +1,8 @@
 #include "cg/cg_cc.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
 #include "common/timer.hpp"
 #include "linalg/vec_ops.hpp"
-#include "nvm/flush.hpp"
 
 namespace adcc::cg {
 
@@ -147,48 +144,13 @@ bool CgCrashConsistent::check_invariants_durable(std::size_t j, std::vector<doub
                                                  std::vector<double>& sq, std::vector<double>& sr,
                                                  std::vector<double>& sz,
                                                  std::vector<double>& saz) const {
-  const double tol = cfg_.invariant_rel_tol;
-  // Durable snapshots of the candidate rows.
-  sim_.durable_read(row(r_, j + 1).data(), sr.data(), n_ * sizeof(double));
-  sim_.durable_read(row(z_, j + 1).data(), sz.data(), n_ * sizeof(double));
-
-  // Eq. 2: r(j+1) = b − A·z(j+1). This also rejects never-written (all-zero
-  // durable) rows because b ≠ 0.
-  a_.spmv(sz, saz);
-  double err2 = 0.0;
-  double b2 = 0.0;
-  for (std::size_t t = 0; t < n_; ++t) {
-    const double d = sr[t] - (b_host_[t] - saz[t]);
-    err2 += d * d;
-    b2 += b_host_[t] * b_host_[t];
-  }
-  if (std::sqrt(err2) > tol * std::sqrt(b2)) return false;
-
-  if (j >= 1) {
-    // Eq. 1: p(j+1)ᵀ · q(j) = 0.
-    sim_.durable_read(row(p_, j + 1).data(), sp.data(), n_ * sizeof(double));
-    sim_.durable_read(row(q_, j).data(), sq.data(), n_ * sizeof(double));
-    const double pq = linalg::dot(sp, sq);
-    const double np = linalg::norm2(sp);
-    const double nq = linalg::norm2(sq);
-    if (std::fabs(pq) > tol * (np * nq + 1e-300)) return false;
-    // Guard against the trivially-orthogonal all-zero p row.
-    if (np == 0.0) return false;
-  } else {
-    // j = 0: Eq. 1 has no q(0); the initialization invariant p₁ = r₁ (Fig. 2
-    // line 1) stands in. Without it a partially-stale durable p₁ could pass
-    // (r₁/z₁ alone say nothing about p) and restart from a corrupt direction.
-    sim_.durable_read(row(p_, 1).data(), sp.data(), n_ * sizeof(double));
-    double diff2 = 0.0;
-    double r2 = 0.0;
-    for (std::size_t t = 0; t < n_; ++t) {
-      const double d = sp[t] - sr[t];
-      diff2 += d * d;
-      r2 += sr[t] * sr[t];
-    }
-    if (std::sqrt(diff2) > tol * (std::sqrt(r2) + 1e-300)) return false;
-  }
-  return true;
+  // Snapshot the candidate rows from the durable image, then test them.
+  const std::size_t bytes = n_ * sizeof(double);
+  sim_.durable_read(row(p_, j + 1).data(), sp.data(), bytes);
+  sim_.durable_read(row(q_, j).data(), sq.data(), bytes);
+  sim_.durable_read(row(r_, j + 1).data(), sr.data(), bytes);
+  sim_.durable_read(row(z_, j + 1).data(), sz.data(), bytes);
+  return cg_rows_consistent(a_, b_host_, j, sp, sq, sr, sz, cfg_.invariant_rel_tol, saz);
 }
 
 CgRecovery CgCrashConsistent::begin_recovery() {
@@ -260,55 +222,6 @@ std::vector<double> CgCrashConsistent::solution() const {
 
 double CgCrashConsistent::avg_iter_seconds() const {
   return iter_seconds_count_ == 0 ? 0.0 : iter_seconds_sum_ / static_cast<double>(iter_seconds_count_);
-}
-
-// ---------------------------------------------------------------------------
-
-CgCcNativeResult run_cg_cc_native(const CsrMatrix& a, std::span<const double> b,
-                                  std::size_t iters, nvm::NvmRegion& region) {
-  const std::size_t n = a.rows();
-  ADCC_CHECK(b.size() == n, "rhs size mismatch");
-
-  // The Fig. 2 data-structure extension: 2-D history arrays in NVM.
-  std::span<double> p = region.allocate<double>((iters + 2) * n);
-  std::span<double> q = region.allocate<double>((iters + 2) * n);
-  std::span<double> r = region.allocate<double>((iters + 2) * n);
-  std::span<double> z = region.allocate<double>((iters + 2) * n);
-  std::span<std::int64_t> counter = region.allocate<std::int64_t>(kCacheLine / sizeof(std::int64_t));
-
-  auto rowof = [n](std::span<double> arr, std::size_t rr) { return arr.subspan(rr * n, n); };
-
-  linalg::copy(b, rowof(r, 1));
-  linalg::copy(b, rowof(p, 1));
-  linalg::zero(rowof(z, 1));
-  double rho = linalg::dot(std::span<const double>(rowof(r, 1)), std::span<const double>(rowof(r, 1)));
-
-  CgCcNativeResult out;
-  for (std::size_t i = 1; i <= iters; ++i) {
-    // The entire runtime durability cost: one cache line flushed per iteration.
-    counter[0] = static_cast<std::int64_t>(i);
-    region.persist(counter.data(), sizeof(std::int64_t));
-    ++out.counter_flushes;
-
-    a.spmv(rowof(p, i), rowof(q, i));
-    const double pq =
-        linalg::dot(std::span<const double>(rowof(p, i)), std::span<const double>(rowof(q, i)));
-    ADCC_CHECK(pq > 0, "A is not positive definite along p");
-    const double alpha = rho / pq;
-    linalg::xpay(rowof(z, i), alpha, rowof(p, i), rowof(z, i + 1));
-    linalg::xpay(rowof(r, i), -alpha, rowof(q, i), rowof(r, i + 1));
-    const double rho_new =
-        linalg::dot(std::span<const double>(rowof(r, i + 1)), std::span<const double>(rowof(r, i + 1)));
-    const double beta = rho_new / rho;
-    rho = rho_new;
-    linalg::xpay(rowof(r, i + 1), beta, rowof(p, i), rowof(p, i + 1));
-  }
-
-  auto zlast = rowof(z, iters + 1);
-  out.cg.x.assign(zlast.begin(), zlast.end());
-  out.cg.iters = iters;
-  out.cg.residual_norm = true_residual(a, b, out.cg.x);
-  return out;
 }
 
 }  // namespace adcc::cg

@@ -4,7 +4,6 @@
 
 #include "cg/cg_cc.hpp"
 #include "cg/cg_shard.hpp"
-#include "cg/cg_tx.hpp"
 #include "core/shard.hpp"
 #include "common/align.hpp"
 #include "common/check.hpp"
@@ -12,6 +11,22 @@
 #include "linalg/vec_ops.hpp"
 
 namespace adcc::cg {
+
+namespace {
+
+// pmem-tx heap sizing: the three restart vectors plus the scalars line, and a
+// log holding one transaction's snapshots of them (plus per-4KB-chunk
+// headers/padding, ~2 %, and slack for the scalar entry).
+std::size_t tx_data_bytes(std::size_t n) {
+  return round_up(4 * n * sizeof(double), kCacheLine) + 16 * kCacheLine;
+}
+
+std::size_t tx_log_bytes(std::size_t n) {
+  const std::size_t payload = 3 * n * sizeof(double);
+  return round_up(payload + payload / 32, kCacheLine) + 128 * kCacheLine;
+}
+
+}  // namespace
 
 std::size_t cg_workload_arena_bytes(std::size_t n, std::size_t iters) {
   // Four history arrays of (iters + 2) rows plus counter/alignment slack —
@@ -82,8 +97,8 @@ void CgWorkload::prepare(core::ModeEnv& env) {
     case core::DurabilityKind::kTransaction: {
       ADCC_CHECK(env.perf != nullptr, "pmem-tx mode needs a perf model");
       const std::size_t n = cfg_.n;
-      heap_ = std::make_unique<pmemtx::PersistentHeap>(cg_tx_data_bytes(n),
-                                                       cg_tx_log_bytes(n), *env.perf);
+      heap_ = std::make_unique<pmemtx::PersistentHeap>(tx_data_bytes(n), tx_log_bytes(n),
+                                                       *env.perf);
       tx_p_ = heap_->allocate<double>(n);
       tx_r_ = heap_->allocate<double>(n);
       tx_z_ = heap_->allocate<double>(n);
@@ -163,23 +178,10 @@ bool CgWorkload::run_step() {
       tx.add(tx_r_);
       tx.add(tx_z_);
       tx.add(tx_scalars_);
-      a_.spmv(tx_p_, tx_q_);
-      fault_.tick(a_.nnz() + 2 * n);
-      const double pq = linalg::dot(std::span<const double>(tx_p_),
-                                    std::span<const double>(tx_q_));
-      fault_.tick(2 * n);
-      ADCC_CHECK(pq > 0, "A is not positive definite along p");
-      const double alpha = tx_rho_ / pq;
-      linalg::axpy(alpha, tx_p_, tx_z_);
-      linalg::axpy(-alpha, tx_q_, tx_r_);
-      fault_.tick(6 * n);
-      const double rho_new =
-          linalg::dot(std::span<const double>(tx_r_), std::span<const double>(tx_r_));
-      fault_.tick(2 * n);
-      const double beta = rho_new / tx_rho_;
-      tx_rho_ = rho_new;
-      linalg::xpay(std::span<const double>(tx_r_), beta, std::span<const double>(tx_p_), tx_p_);
-      fault_.tick(3 * n);
+      cg_step(a_,
+              {.p = tx_p_, .r = tx_r_, .z = tx_z_, .p_next = tx_p_, .r_next = tx_r_,
+               .z_next = tx_z_, .q = tx_q_, .rho = tx_rho_},
+              &fault_);
       fault_.corrupt("cg:p", tx_p_);
       fault_.corrupt("cg:r", tx_r_);
       fault_.corrupt("cg:z", tx_z_);
@@ -195,22 +197,11 @@ bool CgWorkload::run_step() {
     }
     case core::DurabilityKind::kAlgorithm: {
       const std::size_t i = done_ + 1;  // 1-based, matching the Fig. 2 rows.
-      a_.spmv(row(hp_, i), row(hq_, i));
-      fault_.tick(a_.nnz() + 2 * n);
-      const double pq = linalg::dot(crow(hp_, i), crow(hq_, i));
-      fault_.tick(2 * n);
-      ADCC_CHECK(pq > 0, "A is not positive definite along p");
-      const double alpha = alg_rho_ / pq;
-      linalg::xpay(crow(hz_, i), alpha, crow(hp_, i), row(hz_, i + 1));
-      fault_.tick(3 * n);
-      linalg::xpay(crow(hr_, i), -alpha, crow(hq_, i), row(hr_, i + 1));
-      fault_.tick(3 * n);
-      const double rho_new = linalg::dot(crow(hr_, i + 1), crow(hr_, i + 1));
-      fault_.tick(2 * n);
-      const double beta = rho_new / alg_rho_;
-      alg_rho_ = rho_new;
-      linalg::xpay(crow(hr_, i + 1), beta, crow(hp_, i), row(hp_, i + 1));
-      fault_.tick(3 * n);
+      cg_step(a_,
+              {.p = crow(hp_, i), .r = crow(hr_, i), .z = crow(hz_, i), .p_next = row(hp_, i + 1),
+               .r_next = row(hr_, i + 1), .z_next = row(hz_, i + 1), .q = row(hq_, i),
+               .rho = alg_rho_},
+              &fault_);
       // Flip targets: the history rows this iteration wrote — exactly what
       // the Eq. 1/2 invariants cover, so the online check above catches the
       // corruption at the next unit's start (detect_lat = 1).
@@ -283,40 +274,9 @@ void CgWorkload::inject_crash() {
 }
 
 bool CgWorkload::alg_rows_consistent(std::size_t j) const {
-  const double tol = cfg_.invariant_rel_tol;
-  // Eq. 2: r(j+1) = b − A·z(j+1).
   std::vector<double> az(cfg_.n);
-  a_.spmv(crow(hz_, j + 1), az);
-  double err2 = 0.0, b2 = 0.0;
-  const auto rj = crow(hr_, j + 1);
-  for (std::size_t t = 0; t < cfg_.n; ++t) {
-    const double d = rj[t] - (b_[t] - az[t]);
-    err2 += d * d;
-    b2 += b_[t] * b_[t];
-  }
-  if (std::sqrt(err2) > tol * std::sqrt(b2)) return false;
-
-  if (j >= 1) {
-    // Eq. 1: p(j+1)ᵀ · q(j) = 0.
-    const auto pj = crow(hp_, j + 1);
-    const auto qj = crow(hq_, j);
-    const double pq = linalg::dot(pj, qj);
-    const double np = linalg::norm2(pj);
-    const double nq = linalg::norm2(qj);
-    if (std::fabs(pq) > tol * (np * nq + 1e-300)) return false;
-    if (np == 0.0) return false;
-  } else {
-    // j = 0: the initialization invariant p₁ = r₁ stands in for Eq. 1.
-    const auto p1 = crow(hp_, 1);
-    double diff2 = 0.0, r2 = 0.0;
-    for (std::size_t t = 0; t < cfg_.n; ++t) {
-      const double d = p1[t] - rj[t];
-      diff2 += d * d;
-      r2 += rj[t] * rj[t];
-    }
-    if (std::sqrt(diff2) > tol * (std::sqrt(r2) + 1e-300)) return false;
-  }
-  return true;
+  return cg_rows_consistent(a_, b_, j, crow(hp_, j + 1), crow(hq_, j), crow(hr_, j + 1),
+                            crow(hz_, j + 1), cfg_.invariant_rel_tol, az);
 }
 
 core::WorkloadRecovery CgWorkload::recover() {
@@ -391,6 +351,11 @@ std::vector<double> CgWorkload::solution() const {
     }
   }
   ADCC_CHECK(false, "unknown engine");
+}
+
+pmemtx::UndoLogStats CgWorkload::tx_log_stats() const {
+  ADCC_CHECK(engine_ == core::DurabilityKind::kTransaction && log_, "not a pmem-tx run");
+  return log_->stats();
 }
 
 bool CgWorkload::verify() {

@@ -1,14 +1,17 @@
 // CG as a core::Workload — one adapter covering all seven durability modes.
 //
 // Work unit: one CG iteration (the paper's durability granule for §III-B).
-// Per-mode engines, mirroring the fig4 bench's hand-wired variants:
+// Every engine runs the one cg_step; only the durability action around it
+// differs:
 //   native       — cg_step on volatile state, no durability action
 //   ckpt-*       — cg_step + per-iteration CheckpointSet::save of p/r/z/scalars
-//   pmem-tx      — each iteration one undo-log transaction on a PersistentHeap
-//   alg-*        — Fig. 2 history arrays in the NVM arena; the only per-unit
-//                  durability action is flushing the iteration-counter line,
-//                  and recovery re-derives the restart point from the Eq. 1/2
-//                  invariants against the durable rows.
+//   pmem-tx      — cg_step inside one undo-log transaction per iteration on a
+//                  PersistentHeap holding p/r/z/scalars
+//   alg-*        — cg_step from history row i to row i + 1 of the Fig. 2
+//                  arrays in the NVM arena; the only per-unit durability
+//                  action is flushing the iteration-counter line, and
+//                  recovery re-derives the restart point from the Eq. 1/2
+//                  invariants (cg_rows_consistent) against the durable rows.
 #pragma once
 
 #include <memory>
@@ -59,6 +62,9 @@ class CgWorkload final : public core::Workload {
 
   /// Current solution estimate (valid once the run completed).
   std::vector<double> solution() const;
+
+  /// pmem-tx mode: the undo log's accounting since prepare().
+  pmemtx::UndoLogStats tx_log_stats() const;
 
  private:
   std::span<double> row(std::span<double> arr, std::size_t r) const {

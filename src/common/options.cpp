@@ -37,12 +37,10 @@ Options::Options(int argc, char** argv) {
     std::string_view arg(argv[i]);
     ADCC_CHECK(arg.starts_with("--"), "options must look like --key=value or --flag");
     arg.remove_prefix(2);
+    // A bare --flag is shorthand for --flag=1.
     const auto eq = arg.find('=');
-    if (eq == std::string_view::npos) {
-      kv_[std::string(arg)] = "1";
-    } else {
-      kv_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
-    }
+    const std::string_view value = eq == std::string_view::npos ? "1" : arg.substr(eq + 1);
+    kv_.insert_or_assign(std::string(arg.substr(0, eq)), std::string(value));
   }
 }
 

@@ -1,5 +1,9 @@
 #include "core/modes.hpp"
 
+#include <unistd.h>
+
+#include <cstdlib>
+
 #include "checkpoint/file_backend.hpp"
 #include "checkpoint/hetero_backend.hpp"
 #include "checkpoint/nvm_backend.hpp"
@@ -61,6 +65,25 @@ DurabilityKind durability_kind(Mode m) {
   ADCC_CHECK(false, "unknown mode");
 }
 
+namespace {
+
+// Recomputed per call rather than cached: a static path would pin a small
+// allocation in the middle of the heap for the life of the process.
+std::filesystem::path scratch_root() {
+  return std::filesystem::temp_directory_path() / ("adcc." + std::to_string(::getpid()));
+}
+
+}  // namespace
+
+std::filesystem::path default_scratch_dir(std::string_view tag) {
+  static const bool cleanup_registered = std::atexit([] {
+    std::error_code ec;
+    std::filesystem::remove_all(scratch_root(), ec);
+  }) == 0;
+  (void)cleanup_registered;
+  return scratch_root() / tag;
+}
+
 ModeEnv make_env(Mode mode, const ModeEnvConfig& cfg) {
   ModeEnv env;
   env.mode = mode;
@@ -88,9 +111,7 @@ ModeEnv make_env(Mode mode, const ModeEnvConfig& cfg) {
   switch (mode) {
     case Mode::kCkptDisk: {
       checkpoint::FileBackendConfig fc;
-      fc.directory = cfg.scratch_dir.empty()
-                         ? std::filesystem::temp_directory_path() / "adcc_ckpt"
-                         : cfg.scratch_dir;
+      fc.directory = cfg.scratch_dir.empty() ? default_scratch_dir("ckpt") : cfg.scratch_dir;
       fc.throttle_bytes_per_s = cfg.disk_throttle_bytes_per_s;
       env.backend = std::make_unique<checkpoint::FileBackend>(fc);
       break;

@@ -51,12 +51,18 @@ bool is_algorithm_mode(Mode m);
 enum class DurabilityKind { kNone, kCheckpoint, kTransaction, kAlgorithm };
 DurabilityKind durability_kind(Mode m);
 
+/// The process's scratch directory for file-backed checkpoints of one user:
+/// `<tmp>/adcc.<pid>/<tag>`. Per-process, so concurrent binaries (ctest -j,
+/// several test runners at once) never share slot files; the whole
+/// `<tmp>/adcc.<pid>` tree is removed when the process exits.
+std::filesystem::path default_scratch_dir(std::string_view tag);
+
 /// Substrate sizing for make_env: arena/slot capacities, device models, and
 /// the durability-engine knobs (all sweepable through the CLI).
 struct ModeEnvConfig {
   std::size_t arena_bytes = 64u << 20;   ///< NVM arena capacity.
   std::size_t slot_bytes = 16u << 20;    ///< Per-slot checkpoint capacity.
-  std::filesystem::path scratch_dir;     ///< For kCkptDisk (default: tmp).
+  std::filesystem::path scratch_dir;     ///< For kCkptDisk (default: default_scratch_dir("ckpt")).
   double nvm_bandwidth_slowdown = 8.0;   ///< Hetero modes (paper: 8).
   double dram_bw_bytes_per_s = 0.0;      ///< 0 → calibrate with a memcpy sweep.
   double disk_throttle_bytes_per_s = 150e6;

@@ -131,13 +131,14 @@ void ShardGroup::prepare(ModeEnv& env) {
     checkpoint::ChunkConfig marker_cc;
     marker_cc.chunk_bytes = env.cfg.ckpt_chunk_bytes;
     env.backend->configure_chunks(marker_cc);
+    // Only the file medium keeps slot files; each shard gets its own dir.
+    const bool file_backed = env.mode == Mode::kCkptDisk;
     const std::filesystem::path base =
-        env.cfg.scratch_dir.empty()
-            ? std::filesystem::temp_directory_path() / "adcc_ckpt"
-            : env.cfg.scratch_dir;
+        !file_backed || !env.cfg.scratch_dir.empty() ? env.cfg.scratch_dir
+                                                     : default_scratch_dir("ckpt");
     for (std::size_t i = 0; i < n; ++i) {
       ModeEnvConfig sc = env.cfg;
-      sc.scratch_dir = base / ("shard" + std::to_string(i));
+      if (file_backed) sc.scratch_dir = base / ("shard" + std::to_string(i));
       shard_envs_.push_back(std::make_unique<ModeEnv>(make_env(env.mode, sc)));
     }
     for (std::size_t i = 0; i < n; ++i) {

@@ -1,7 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -591,9 +589,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepConfig& cfg) {
   out.cells.resize(n);
 
   const std::filesystem::path scratch_root =
-      cfg.scratch_root.empty()
-          ? std::filesystem::temp_directory_path() / ("adcc_sweep." + std::to_string(::getpid()))
-          : cfg.scratch_root;
+      cfg.scratch_root.empty() ? default_scratch_dir("sweep") : cfg.scratch_root;
 
   BaselineCache baselines;
   FuzzProbeCache fuzz_probes;

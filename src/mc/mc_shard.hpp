@@ -18,7 +18,7 @@
 #include <optional>
 
 #include "core/shard.hpp"
-#include "mc/mc_ckpt.hpp"
+#include "mc/xs_kernel.hpp"
 #include "mc/mc_workload.hpp"
 
 namespace adcc::mc {

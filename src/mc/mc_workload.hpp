@@ -24,7 +24,7 @@
 #include "core/fault.hpp"
 #include "core/registry.hpp"
 #include "core/workload.hpp"
-#include "mc/mc_ckpt.hpp"
+#include "mc/xs_kernel.hpp"
 #include "pmemtx/tx.hpp"
 
 namespace adcc::mc {

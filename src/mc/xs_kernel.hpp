@@ -1,8 +1,10 @@
-// XSBench lookup kernel (paper Fig. 9) and the CDF tally extension the paper
-// adds to make the benchmark's output physically meaningful (§III-D).
+// XSBench lookup kernel (paper Fig. 9), the CDF tally extension the paper
+// adds to make the benchmark's output physically meaningful (§III-D), and the
+// lookup-range loop every mc engine drives.
 #pragma once
 
 #include "common/rng.hpp"
+#include "mc/tally.hpp"
 #include "mc/xs_data.hpp"
 
 namespace adcc::mc {
@@ -32,5 +34,16 @@ void macro_lookup(const XsDataHost& data, double e, int material, double out[kCh
 /// macro_xs_vector, normalize by its last element, and select the interaction
 /// type for uniform sample u using the paper's "last element <= u" convention.
 int tally_select(const double macro_acc[kChannels], double u);
+
+/// Executes lookups [begin, end) of stream `rng`, accumulating into
+/// macro[kChannels] / counters[kChannels] and recording the current lookup in
+/// *index. The mc workload adapter (every mode) and its shards drive this one
+/// loop, so their per-lookup work is identical by construction.
+void run_xs_range(const XsDataHost& data, const CounterRng& rng, std::uint64_t begin,
+                  std::uint64_t end, double* macro, std::uint64_t* counters,
+                  std::uint64_t* index);
+
+/// The crash-free reference tally: `lookups` lookups of stream `seed`.
+Tally run_xs_native(const XsDataHost& data, std::uint64_t lookups, std::uint64_t seed);
 
 }  // namespace adcc::mc

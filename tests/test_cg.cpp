@@ -1,24 +1,18 @@
-// Tests for the CG variants: plain, checkpointed, transactional.
+// Tests for the CG kernel: the one cg_step (in place and history-row form),
+// cg_solve, and the Fig. 2 recovery invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "core/fault.hpp"
 #include "cg/cg.hpp"
-#include "cg/cg_ckpt.hpp"
-#include "cg/cg_tx.hpp"
-#include "checkpoint/nvm_backend.hpp"
 #include "linalg/spgen.hpp"
 #include "linalg/vec_ops.hpp"
 
 namespace adcc::cg {
 namespace {
-
-nvm::PerfModel& model() {
-  static nvm::PerfModel m(
-      nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0, .enabled = false});
-  return m;
-}
 
 struct Problem {
   linalg::CsrMatrix a;
@@ -75,52 +69,82 @@ TEST(CgSolve, RhsSizeMismatchThrows) {
   EXPECT_THROW(cg_solve(p.a, bad, 3), ContractViolation);
 }
 
-TEST(CgCkpt, ResultIdenticalToPlainCg) {
-  const Problem p = make_problem(400);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 4u << 20);
-  const auto plain = cg_solve(p.a, p.b, 12);
-  const auto ck = run_cg_checkpointed(p.a, p.b, 12, backend);
-  EXPECT_EQ(ck.checkpoints, 12u);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(plain.x, ck.cg.x), 0.0);  // Same op sequence.
+// Runs `iters` iterations the Fig. 2 way — row i in, row i + 1 out of
+// iteration-major history arrays — and returns the arrays' rows flattened.
+struct History {
+  std::size_t n;
+  std::vector<double> p, q, r, z;
+  std::span<double> row(std::vector<double>& v, std::size_t i) {
+    return std::span<double>(v).subspan(i * n, n);
+  }
+};
+
+History run_history(const Problem& pr, std::size_t iters) {
+  const std::size_t n = pr.b.size();
+  History h{n, {}, {}, {}, {}};
+  for (auto* v : {&h.p, &h.q, &h.r, &h.z}) v->assign((iters + 2) * n, 0.0);
+  linalg::copy(pr.b, h.row(h.p, 1));
+  linalg::copy(pr.b, h.row(h.r, 1));
+  double rho = linalg::dot(pr.b, pr.b);
+  for (std::size_t i = 1; i <= iters; ++i) {
+    cg_step(pr.a, {.p = h.row(h.p, i), .r = h.row(h.r, i), .z = h.row(h.z, i),
+                   .p_next = h.row(h.p, i + 1), .r_next = h.row(h.r, i + 1),
+                   .z_next = h.row(h.z, i + 1), .q = h.row(h.q, i), .rho = rho});
+  }
+  return h;
 }
 
-TEST(CgCkpt, ResumeContinuesFromLatestCheckpoint) {
-  const Problem p = make_problem(400);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 4u << 20);
-  // "Crash" after 7 of 12 iterations: run only 7, then resume to 12.
-  run_cg_checkpointed(p.a, p.b, 7, backend);
-  const auto resumed = resume_cg_checkpointed(p.a, p.b, 12, backend);
-  const auto full = cg_solve(p.a, p.b, 12);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(resumed.x, full.x), 0.0);
-}
-
-TEST(CgCkpt, ResumeWithNoCheckpointRunsFromScratch) {
-  const Problem p = make_problem(200);
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 4u << 20);
-  const auto resumed = resume_cg_checkpointed(p.a, p.b, 6, backend);
-  const auto full = cg_solve(p.a, p.b, 6);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(resumed.x, full.x), 0.0);
-}
-
-TEST(CgTx, ResultIdenticalToPlainCg) {
+TEST(CgStep, HistoryRowsReproduceInPlaceStateBitwise) {
+  // The alg engine steps history rows i → i+1, the other engines step in
+  // place; both must produce the identical IEEE sequence.
   const Problem p = make_problem(300);
-  pmemtx::PersistentHeap heap(cg_tx_data_bytes(300), cg_tx_log_bytes(300), model());
-  const auto plain = cg_solve(p.a, p.b, 10);
-  const auto tx = run_cg_tx(p.a, p.b, 10, heap);
-  EXPECT_DOUBLE_EQ(linalg::max_abs_diff(plain.x, tx.cg.x), 0.0);
+  CgState s;
+  cg_init(p.a, p.b, s);
+  History h = run_history(p, 9);
+  for (std::size_t i = 1; i <= 9; ++i) {
+    cg_step(p.a, s);
+    const auto zi = h.row(h.z, i + 1);
+    const auto pi = h.row(h.p, i + 1);
+    EXPECT_TRUE(std::equal(s.z.begin(), s.z.end(), zi.begin())) << "z, iteration " << i;
+    EXPECT_TRUE(std::equal(s.p.begin(), s.p.end(), pi.begin())) << "p, iteration " << i;
+  }
 }
 
-TEST(CgTx, LogsThreeVectorsPlusScalarsPerIteration) {
+TEST(CgStep, AnnouncesTheSameAccessTotalEveryIteration) {
   const Problem p = make_problem(200);
-  pmemtx::PersistentHeap heap(cg_tx_data_bytes(200), cg_tx_log_bytes(200), model());
-  const auto tx = run_cg_tx(p.a, p.b, 8, heap);
-  EXPECT_EQ(tx.log_stats.transactions, 8u);
-  EXPECT_EQ(tx.log_stats.ranges_logged, 8u * 4);
-  // Per iteration: 3 vectors of n doubles + 2 scalars.
-  EXPECT_EQ(tx.log_stats.bytes_logged, 8u * (3 * 200 * 8 + 16));
+  CgState s;
+  cg_init(p.a, p.b, s);
+  core::FaultSurface fault;
+  for (std::size_t i = 1; i <= 3; ++i) {
+    cg_step(p.a, {.p = s.p, .r = s.r, .z = s.z, .p_next = s.p, .r_next = s.r, .z_next = s.z,
+                  .q = s.q, .rho = s.rho},
+            &fault);
+    EXPECT_EQ(fault.access_count(), i * (p.a.nnz() + 15 * 200));
+  }
+}
+
+TEST(CgRowsConsistent, AcceptsEveryCompletedIterationAndRejectsStaleRows) {
+  const Problem p = make_problem(250);
+  History h = run_history(p, 6);
+  std::vector<double> az(250);
+  const double tol = 1e-6;
+  for (std::size_t j = 0; j <= 6; ++j) {
+    EXPECT_TRUE(cg_rows_consistent(p.a, p.b, j, h.row(h.p, j + 1), h.row(h.q, j),
+                                   h.row(h.r, j + 1), h.row(h.z, j + 1), tol, az))
+        << "j = " << j;
+  }
+  // Never-written (all-zero) rows fail Eq. 2, as b != 0.
+  const std::vector<double> zeros(250, 0.0);
+  EXPECT_FALSE(cg_rows_consistent(p.a, p.b, 3, zeros, zeros, zeros, zeros, tol, az));
+  // A stale direction row fails Eq. 1 ...
+  History stale = run_history(p, 6);
+  linalg::copy(stale.row(stale.p, 3), stale.row(stale.p, 4));
+  EXPECT_FALSE(cg_rows_consistent(p.a, p.b, 3, stale.row(stale.p, 4), stale.row(stale.q, 3),
+                                  stale.row(stale.r, 4), stale.row(stale.z, 4), tol, az));
+  // ... and at j = 0 the initialization invariant p1 = r1 stands in for it.
+  stale.row(stale.p, 1)[7] += 1.0;
+  EXPECT_FALSE(cg_rows_consistent(p.a, p.b, 0, stale.row(stale.p, 1), stale.row(stale.q, 0),
+                                  stale.row(stale.r, 1), stale.row(stale.z, 1), tol, az));
 }
 
 TEST(TrueResidual, ZeroForExactSolution) {

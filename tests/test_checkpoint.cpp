@@ -15,6 +15,7 @@
 #include "checkpoint/nvm_backend.hpp"
 #include "common/check.hpp"
 #include "common/timer.hpp"
+#include "core/modes.hpp"
 
 namespace adcc::checkpoint {
 namespace {
@@ -42,9 +43,8 @@ BackendBundle make_backend(Kind kind, double throttle = 0.0) {
       // (sync-vs-async image comparison), which must not share slot files.
       static std::atomic<int> counter{0};
       FileBackendConfig fc;
-      fc.directory = std::filesystem::temp_directory_path() /
-                     ("adcc_test_ckpt_" + std::to_string(::getpid()) + "_" +
-                      std::to_string(counter.fetch_add(1)));
+      fc.directory =
+          core::default_scratch_dir("test_ckpt_" + std::to_string(counter.fetch_add(1)));
       fc.throttle_bytes_per_s = throttle;
       b.file_dir = fc.directory;
       b.backend = std::make_unique<FileBackend>(fc);
@@ -398,6 +398,68 @@ TEST(CheckpointSet, HintedSaveIntoFreshSlotWritesTheFullImage) {
   EXPECT_DOUBLE_EQ(x[512], 1.0);  // Un-hinted chunk restored, not a hole.
 }
 
+// The mirror-style incremental configuration: one NvmBackend slot, 4 KB
+// chunks, each save rewriting only the chunks whose payload changed.
+struct MirrorSet {
+  explicit MirrorSet(std::size_t capacity)
+      : perf(nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0,
+                             .enabled = false}),
+        region(2 * capacity, perf),
+        backend(region, capacity, /*slots=*/1),
+        set(backend) {
+    backend.configure_chunks(chunk_cfg(4096, 1));
+  }
+  nvm::PerfModel perf;
+  nvm::NvmRegion region;
+  NvmBackend backend;
+  CheckpointSet set;
+};
+
+TEST(CheckpointSet, OneSlotMirrorRewritesOnlyModifiedChunks) {
+  MirrorSet m(1u << 20);
+  std::vector<double> x(8 * 4096 / 8, 1.0), y(4096 / 8, 2.0);
+  m.set.add("x", x.data(), x.size() * 8);
+  m.set.add("y", y.data(), y.size() * 8);
+  EXPECT_EQ(m.set.restore(), 0u);  // Nothing saved yet: objects untouched.
+  EXPECT_DOUBLE_EQ(x[0], 1.0);
+  m.set.save();
+  EXPECT_EQ(m.set.last_save().payload_bytes_written, 9u * 4096);  // First image is full.
+  m.set.save();
+  EXPECT_EQ(m.set.last_save().chunks_written, 0u);  // Unchanged: nothing written.
+  x[0] = 2.0;                // Chunk 0 of x.
+  x[5 * 4096 / 8] = 3.0;     // Chunk 5 of x.
+  y[0] = 5.0;
+  m.set.save();
+  EXPECT_EQ(m.set.last_save().chunks_written, 3u);
+  EXPECT_EQ(m.set.last_save().payload_bytes_written, 3u * 4096);
+  std::fill(x.begin(), x.end(), -1.0);
+  std::fill(y.begin(), y.end(), -1.0);
+  EXPECT_EQ(m.set.restore(), 3u);
+  EXPECT_DOUBLE_EQ(x[0], 2.0);
+  EXPECT_DOUBLE_EQ(x[1], 1.0);
+  EXPECT_DOUBLE_EQ(x[5 * 4096 / 8], 3.0);
+  EXPECT_DOUBLE_EQ(y[0], 5.0);
+}
+
+TEST(CheckpointSet, HintedSaveExaminesOnlyHintedChunks) {
+  MirrorSet m(1u << 20);
+  std::vector<double> x(8 * 4096 / 8, 1.0);
+  m.set.add("x", x.data(), x.size() * 8);
+  m.set.save();
+  x[4096 / 8 - 1] = 9.0;     // Last double of chunk 0 ...
+  x[4096 / 8] = 9.0;         // ... and first of chunk 1: one hint spans both.
+  x[3 * 4096 / 8] = 4.0;
+  const CheckpointSet::DirtyRange hints[] = {{0, 4096 - 8, 16}, {0, 3 * 4096, 8}};
+  m.set.save(hints);
+  EXPECT_EQ(m.set.last_save().chunks_examined(), 3u);  // The other 5 are never scanned.
+  EXPECT_EQ(m.set.last_save().chunks_written, 3u);
+
+  const CheckpointSet::DirtyRange unknown_object[] = {{3, 0, 8}};
+  EXPECT_THROW(m.set.save(unknown_object), ContractViolation);
+  const CheckpointSet::DirtyRange out_of_bounds[] = {{0, 8 * 4096, 8}};
+  EXPECT_THROW(m.set.save(out_of_bounds), ContractViolation);
+}
+
 TEST(HeteroBackend, InterruptedSaveDebrisDoesNotTearTheNextSave) {
   // Chunks staged by an interrupted save must not be drained by a later
   // save's epilogue into the other slot's committed image.
@@ -565,7 +627,8 @@ TEST_P(BackendTest, AsyncDirtyChunkFilterSkipsUnchangedChunks) {
 }
 
 /// An InterruptibleSet variant for the async sites: cuts the power at the
-/// N-th hit of one crash-point name (ckpt_stage / ckpt_drain).
+/// N-th hit of one crash-point name (ckpt_stage / ckpt_drain). The counters
+/// are atomic: the drain thread fires ckpt_drain while the test thread re-arms.
 struct AsyncInterruptibleSet {
   AsyncInterruptibleSet(Backend& backend, const char* at)
       : set(backend, [this, at](const char* point) {
@@ -575,8 +638,8 @@ struct AsyncInterruptibleSet {
         }) {}
 
   CheckpointSet set;
-  std::size_t arm_after = 0;
-  std::size_t fired = 0;
+  std::atomic<std::size_t> arm_after{0};
+  std::atomic<std::size_t> fired{0};
 };
 
 TEST_P(BackendTest, CrashBetweenStageAndDrainLeavesBackendUntouched) {

@@ -57,7 +57,7 @@ ModeEnvConfig small_env() {
   c.arena_bytes = 4u << 20;
   c.slot_bytes = 1u << 20;
   c.dram_cache_bytes = 1u << 20;
-  c.scratch_dir = std::filesystem::temp_directory_path() / "adcc_core_test";
+  c.scratch_dir = default_scratch_dir("core_test");
   return c;
 }
 

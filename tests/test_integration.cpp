@@ -8,10 +8,29 @@
 namespace adcc {
 namespace {
 
-nvm::PerfModel& model() {
-  static nvm::PerfModel m(
-      nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0, .enabled = false});
-  return m;
+// One verified scenario through the workload adapter, with checkpoint slot
+// files in a per-process scratch dir and no HDD emulation. The runner owns
+// the mode's substrate (NVM arena, heap), so results living there are read
+// while it is still alive.
+core::ScenarioConfig scenario(const core::Workload& w, core::Mode mode, const char* crash) {
+  core::ScenarioConfig cfg;
+  cfg.mode = mode;
+  cfg.crash = core::parse_crash_or_throw(crash);
+  cfg.env.scratch_dir = core::default_scratch_dir("integration");
+  cfg.env.disk_throttle_bytes_per_s = 0;
+  w.tune_env(mode, cfg.env);
+  cfg.verify = true;
+  return cfg;
+}
+
+cg::CgWorkloadConfig cg_config(std::size_t n, std::size_t iters) {
+  cg::CgWorkloadConfig cfg;
+  cfg.n = n;
+  cfg.nz_per_row = 9;
+  cfg.iters = iters;
+  cfg.matrix_seed = 3;
+  cfg.rhs_seed = 4;
+  return cfg;
 }
 
 TEST(Integration, CgCrashRecoveryMatchesGoldenAcrossAllSchemes) {
@@ -20,7 +39,7 @@ TEST(Integration, CgCrashRecoveryMatchesGoldenAcrossAllSchemes) {
   const auto b = linalg::make_rhs(n, 4);
   const auto golden = cg::cg_solve(a, b, iters);
 
-  // Algorithm-directed with mid-run crash.
+  // Algorithm-directed under the cache simulator, crashed mid-iteration.
   cg::CgCcConfig cfg;
   cfg.n_iters = iters;
   cfg.cache.ways = 8;
@@ -32,17 +51,16 @@ TEST(Integration, CgCrashRecoveryMatchesGoldenAcrossAllSchemes) {
   cc.finish();
   EXPECT_LT(linalg::max_abs_diff(cc.solution(), golden.x), 1e-9);
 
-  // Checkpoint resume.
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 2u << 20);
-  cg::run_cg_checkpointed(a, b, 5, backend);  // Crash after 5 iterations.
-  const auto resumed = cg::resume_cg_checkpointed(a, b, iters, backend);
-  EXPECT_LT(linalg::max_abs_diff(resumed.x, golden.x), 1e-12);
-
-  // Transactional.
-  pmemtx::PersistentHeap heap(cg::cg_tx_data_bytes(n), cg::cg_tx_log_bytes(n), model());
-  const auto tx = cg::run_cg_tx(a, b, iters, heap);
-  EXPECT_LT(linalg::max_abs_diff(tx.cg.x, golden.x), 1e-12);
+  // Every full-speed engine, crashed at the same site: the durable modes
+  // resume the identical op sequence, native restarts it from scratch.
+  cg::CgWorkload w(cg_config(n, iters));
+  for (core::Mode m : core::all_modes()) {
+    core::ScenarioRunner runner(w, scenario(w, m, "point:cg:p_updated:5"));
+    const auto res = runner.run();
+    EXPECT_EQ(res.crashes, 1u) << core::mode_name(m);
+    EXPECT_TRUE(res.verified) << core::mode_name(m);
+    EXPECT_LT(linalg::max_abs_diff(w.solution(), golden.x), 1e-12) << core::mode_name(m);
+  }
 }
 
 TEST(Integration, MmAllVariantsAgreeUnderCrash) {
@@ -63,18 +81,18 @@ TEST(Integration, MmAllVariantsAgreeUnderCrash) {
   mmcc.recover_and_resume();
   EXPECT_LT(linalg::Matrix::max_abs_diff(mmcc.result(), golden), 1e-10);
 
-  nvm::NvmRegion region(16u << 20, model());
-  checkpoint::NvmBackend backend(region, 1u << 20);
-  const auto ck = mm::run_mm_checkpointed(a, b, k, backend);
-  EXPECT_LT(linalg::Matrix::max_abs_diff(ck.c, golden), 1e-10);
-
-  pmemtx::PersistentHeap heap(mm::mm_tx_data_bytes(n), mm::mm_tx_log_bytes(n), model());
-  const auto tx = mm::run_mm_tx(a, b, k, heap);
-  EXPECT_LT(linalg::Matrix::max_abs_diff(tx.c, golden), 1e-10);
-
-  nvm::NvmRegion region2(mm::mm_cc_native_arena_bytes(n, k), model());
-  const auto native = mm::run_mm_cc_native(a, b, k, region2);
-  EXPECT_LT(linalg::Matrix::max_abs_diff(native.c, golden), 1e-10);
+  mm::MmWorkloadConfig wc;
+  wc.n = n;
+  wc.rank_k = k;
+  wc.seed_a = 10;
+  wc.seed_b = 11;
+  mm::MmWorkload w(wc);
+  for (core::Mode m : core::all_modes()) {
+    core::ScenarioRunner runner(w, scenario(w, m, "step:2"));
+    const auto res = runner.run();
+    EXPECT_EQ(res.crashes, 1u) << core::mode_name(m);
+    EXPECT_LT(linalg::Matrix::max_abs_diff(w.result(), golden), 1e-10) << core::mode_name(m);
+  }
 }
 
 TEST(Integration, XsCrashRecoveryExactUnderSelectiveFlushing) {
@@ -102,24 +120,22 @@ TEST(Integration, XsCrashRecoveryExactUnderSelectiveFlushing) {
   EXPECT_EQ(crashed.tally().counts, nocrash.tally().counts);
 }
 
-TEST(Integration, CheckpointModesRunCgEndToEnd) {
-  const std::size_t n = 300, iters = 4;
-  const auto a = linalg::make_spd(n, 7, 8);
-  const auto b = linalg::make_rhs(n, 9);
-  const auto golden = cg::cg_solve(a, b, iters);
-
-  core::ModeEnvConfig ec;
-  ec.arena_bytes = 8u << 20;
-  ec.slot_bytes = 2u << 20;
-  ec.dram_cache_bytes = 1u << 20;
-  ec.disk_throttle_bytes_per_s = 0;  // Fast test: no HDD emulation.
-  ec.scratch_dir = std::filesystem::temp_directory_path() / "adcc_integration";
-
+TEST(Integration, CheckpointModesResumeCgExactly) {
+  // Every checkpoint device restores p/r/z/rho and re-executes to the
+  // bitwise-identical solution — after a boundary crash, and after a crash
+  // inside unit 1, before any checkpoint exists (restart from scratch).
+  const std::size_t n = 300, iters = 6;
+  cg::CgWorkload w(cg_config(n, iters));
+  const auto golden =
+      cg::cg_solve(linalg::make_spd(n, 9, 3), linalg::make_rhs(n, 4), iters);
   for (core::Mode m : {core::Mode::kCkptDisk, core::Mode::kCkptNvm, core::Mode::kCkptHetero}) {
-    core::ModeEnv env = core::make_env(m, ec);
-    ASSERT_NE(env.backend, nullptr) << core::mode_name(m);
-    const auto res = cg::run_cg_checkpointed(a, b, iters, *env.backend);
-    EXPECT_LT(linalg::max_abs_diff(res.cg.x, golden.x), 1e-12) << core::mode_name(m);
+    for (const auto& [crash, restart] : {std::pair{"step:2", 3u}, {"point:cg:iter_end:1", 1u}}) {
+      core::ScenarioRunner runner(w, scenario(w, m, crash));
+      const auto res = runner.run();
+      EXPECT_EQ(res.restart_unit, restart) << core::mode_name(m) << " " << crash;
+      EXPECT_EQ(linalg::max_abs_diff(w.solution(), golden.x), 0.0)
+          << core::mode_name(m) << " " << crash;
+    }
   }
 }
 
@@ -128,25 +144,41 @@ TEST(Integration, HeteroCheckpointChargesNvmBandwidth) {
   // traffic — the cost structure behind Fig. 4's middle bars. Asserted on the
   // perf model's deterministic injected-delay accounting, not noisy wall time.
   const std::size_t n = 20000, iters = 3;
-  const auto a = linalg::make_spd(n, 7, 8);
-  const auto b = linalg::make_rhs(n, 9);
+  cg::CgWorkload w(cg_config(n, iters));
+  double injected[2] = {};
+  const core::Mode modes[2] = {core::Mode::kCkptNvm, core::Mode::kCkptHetero};
+  for (int i = 0; i < 2; ++i) {
+    core::ModeEnvConfig ec;
+    ec.dram_cache_bytes = 1u << 20;
+    ec.nvm_bandwidth_slowdown = 16.0;  // Exaggerate for a robust assertion.
+    ec.dram_bw_bytes_per_s = 1e9;      // Deterministic charge basis.
+    w.tune_env(modes[i], ec);
+    core::ModeEnv env = core::make_env(modes[i], ec);
+    w.prepare(env);
+    while (w.run_step()) w.make_durable();
+    w.wait_durable();
+    injected[i] = env.perf->stats().injected_seconds;
+  }
+  // NVM-only assumes NVM == DRAM (no charge); hetero pays ≈ bytes × 15 / 1e9
+  // for the p/r/z vectors it checkpoints every iteration.
+  EXPECT_DOUBLE_EQ(injected[0], 0.0);
+  const double expected = static_cast<double>(3 * n * sizeof(double)) * iters * 15.0 / 1e9;
+  EXPECT_GT(injected[1], 0.8 * expected);
+}
 
-  core::ModeEnvConfig ec;
-  ec.arena_bytes = 16u << 20;
-  ec.slot_bytes = 4u << 20;
-  ec.dram_cache_bytes = 1u << 20;
-  ec.nvm_bandwidth_slowdown = 16.0;  // Exaggerate for a robust assertion.
-  ec.dram_bw_bytes_per_s = 1e9;      // Deterministic charge basis.
-
-  core::ModeEnv nvm_env = core::make_env(core::Mode::kCkptNvm, ec);
-  core::ModeEnv het_env = core::make_env(core::Mode::kCkptHetero, ec);
-  cg::run_cg_checkpointed(a, b, iters, *nvm_env.backend);
-  cg::run_cg_checkpointed(a, b, iters, *het_env.backend);
-  // NVM-only assumes NVM == DRAM (no charge); hetero pays ≈ bytes × 15 / 1e9.
-  EXPECT_DOUBLE_EQ(nvm_env.perf->stats().injected_seconds, 0.0);
-  const double expected =
-      static_cast<double>(3 * n * sizeof(double) + 64) * iters * 15.0 / 1e9;
-  EXPECT_GT(het_env.perf->stats().injected_seconds, 0.8 * expected);
+TEST(Integration, CgTxLogsThreeVectorsPlusScalarsPerIteration) {
+  // pmem-tx: one transaction per iteration snapshotting p, r, z and the
+  // scalars line — 4 ranges, 3·n doubles + 2 scalars of undo log each.
+  const std::size_t n = 200, iters = 8;
+  cg::CgWorkload w(cg_config(n, iters));
+  core::ScenarioRunner runner(w, scenario(w, core::Mode::kPmemTx, "none"));
+  const auto res = runner.run();
+  EXPECT_TRUE(res.verified);
+  const pmemtx::UndoLogStats stats = w.tx_log_stats();
+  EXPECT_EQ(stats.transactions, iters);
+  EXPECT_EQ(stats.commits, iters);
+  EXPECT_EQ(stats.ranges_logged, iters * 4);
+  EXPECT_EQ(stats.bytes_logged, iters * (3 * n * sizeof(double) + 16));
 }
 
 TEST(Integration, UmbrellaHeaderExposesAllLayers) {

@@ -248,7 +248,7 @@ TEST(BackendSweep, WorkloadsVerifyAcrossBackendsModesAndShards) {
       .set("interval", "100")
       .set("verify", "1");
   cfg.baseline = false;
-  cfg.scratch_root = std::filesystem::temp_directory_path() / "adcc_test_kernels";
+  cfg.scratch_root = default_scratch_dir("test_kernels");
 
   const SweepResult deck = run_sweep(*spec, cfg);
   EXPECT_TRUE(deck.all_ok());

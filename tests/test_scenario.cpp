@@ -177,7 +177,7 @@ TEST(CrashUnits, EdgeCases) {
 ScenarioConfig tiny_config(const Workload& w, Mode mode) {
   ScenarioConfig cfg;
   cfg.mode = mode;
-  cfg.env.scratch_dir = std::filesystem::temp_directory_path() / "adcc_scenario_test";
+  cfg.env.scratch_dir = default_scratch_dir("scenario_test");
   w.tune_env(mode, cfg.env);
   cfg.verify = true;
   return cfg;

@@ -77,7 +77,9 @@ TEST(CrashVictims, SeededSelectionIsDeterministicSortedAndDistinct) {
   ASSERT_EQ(v1.size(), 3u);
   for (std::size_t i = 0; i < v1.size(); ++i) {
     EXPECT_LT(v1[i], 8u);
-    if (i > 0) EXPECT_LT(v1[i - 1], v1[i]);  // Sorted => distinct.
+    if (i > 0) {
+      EXPECT_LT(v1[i - 1], v1[i]);  // Sorted => distinct.
+    }
   }
 }
 
@@ -149,7 +151,7 @@ std::unique_ptr<ShardGroup> mc_group(std::size_t shards) {
 ScenarioConfig group_config(const Workload& w, Mode mode, const std::string& scratch) {
   ScenarioConfig cfg;
   cfg.mode = mode;
-  cfg.env.scratch_dir = std::filesystem::temp_directory_path() / scratch;
+  cfg.env.scratch_dir = default_scratch_dir(scratch);
   w.tune_env(mode, cfg.env);
   cfg.verify = true;
   return cfg;
@@ -189,7 +191,7 @@ TEST(GroupCoordinator, MarkerNeverObservableBeforeEveryShardCommitted) {
   for (const std::string& site : sites) {
     auto group = cg_group(3);
     ModeEnvConfig ec;
-    ec.scratch_dir = std::filesystem::temp_directory_path() / "adcc_shard_commit_test";
+    ec.scratch_dir = default_scratch_dir("shard_commit_test");
     group->tune_env(Mode::kCkptDisk, ec);
     ModeEnv env = make_env(Mode::kCkptDisk, ec);
     group->prepare(env);
@@ -270,7 +272,7 @@ TEST(ShardGroup, KofNRestoreIsDeterministicAndSlotImagesByteIdentical) {
 // one epoch behind the crash, so the replay delta is non-empty.
 TEST(ShardGroup, SurvivorsNeverRecomputeVictimReplaysOwnDelta) {
   auto group = cg_group(3);
-  ScenarioConfig cfg = group_config(*group, Mode::kCkptDisk, "adcc_shard_survivor_test");
+  ScenarioConfig cfg = group_config(*group, Mode::kCkptDisk, "shard_survivor_test");
   cfg.env.ckpt_async = true;
   cfg.crash = *parse_crash("shard:1:step:4");
   const ScenarioResult res = run_scenario(*group, cfg);
@@ -301,17 +303,17 @@ TEST(ShardGroup, AdaptersVerifyAcrossScopesAndStagger) {
                         {"coord:point:global_commit", false}};
   for (const Case& c : cases) {
     auto cg = cg_group(3, c.stagger);
-    ScenarioConfig cfg = group_config(*cg, Mode::kCkptDisk, "adcc_shard_roundtrip");
+    ScenarioConfig cfg = group_config(*cg, Mode::kCkptDisk, "shard_roundtrip");
     cfg.crash = *parse_crash(c.crash);
     EXPECT_TRUE(run_scenario(*cg, cfg).verified) << "cg " << c.crash;
   }
   for (const char* crash : {"shard:0:step:2", "coord:point:global_commit"}) {
     auto mm = mm_group(4);
-    ScenarioConfig mcfg = group_config(*mm, Mode::kCkptNvm, "adcc_shard_roundtrip");
+    ScenarioConfig mcfg = group_config(*mm, Mode::kCkptNvm, "shard_roundtrip");
     mcfg.crash = *parse_crash(crash);
     EXPECT_TRUE(run_scenario(*mm, mcfg).verified) << "mm " << crash;
     auto mc = mc_group(4);
-    ScenarioConfig ccfg = group_config(*mc, Mode::kCkptNvm, "adcc_shard_roundtrip");
+    ScenarioConfig ccfg = group_config(*mc, Mode::kCkptNvm, "shard_roundtrip");
     ccfg.crash = *parse_crash(crash);
     EXPECT_TRUE(run_scenario(*mc, ccfg).verified) << "mc " << crash;
   }
@@ -322,7 +324,7 @@ TEST(ShardGroup, AdaptersVerifyAcrossScopesAndStagger) {
 TEST(ShardGroup, NonCheckpointModesFallBackToSingleRank) {
   for (Mode m : {Mode::kPmemTx, Mode::kAlgNvm}) {
     auto group = cg_group(4);
-    ScenarioConfig cfg = group_config(*group, m, "adcc_shard_fallback");
+    ScenarioConfig cfg = group_config(*group, m, "shard_fallback");
     cfg.crash = *parse_crash("shard:0:step:2");
     const ScenarioResult res = run_scenario(*group, cfg);
     EXPECT_TRUE(res.verified) << mode_name(m);

@@ -161,7 +161,7 @@ SweepConfig tiny_config(int jobs) {
   cfg.base = tiny_base();
   cfg.jobs = jobs;
   cfg.baseline = false;  // Keep engine tests fast and timing-free.
-  cfg.scratch_root = std::filesystem::temp_directory_path() / "adcc_test_sweep";
+  cfg.scratch_root = default_scratch_dir("test_sweep");
   return cfg;
 }
 
