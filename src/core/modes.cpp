@@ -67,8 +67,6 @@ DurabilityKind durability_kind(Mode m) {
 
 namespace {
 
-// Recomputed per call rather than cached: a static path would pin a small
-// allocation in the middle of the heap for the life of the process.
 std::filesystem::path scratch_root() {
   return std::filesystem::temp_directory_path() / ("adcc." + std::to_string(::getpid()));
 }

@@ -62,7 +62,7 @@ std::filesystem::path default_scratch_dir(std::string_view tag);
 struct ModeEnvConfig {
   std::size_t arena_bytes = 64u << 20;   ///< NVM arena capacity.
   std::size_t slot_bytes = 16u << 20;    ///< Per-slot checkpoint capacity.
-  std::filesystem::path scratch_dir;     ///< For kCkptDisk (default: default_scratch_dir("ckpt")).
+  std::filesystem::path scratch_dir;     ///< kCkptDisk slot files (empty: default_scratch_dir).
   double nvm_bandwidth_slowdown = 8.0;   ///< Hetero modes (paper: 8).
   double dram_bw_bytes_per_s = 0.0;      ///< 0 → calibrate with a memcpy sweep.
   double disk_throttle_bytes_per_s = 150e6;

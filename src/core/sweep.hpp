@@ -91,8 +91,8 @@ struct SweepConfig {
   int jobs = 1;      ///< Worker threads executing cells (1 = serial, in-order).
   bool baseline = true;  ///< Time a native run per problem shape and normalize.
   /// Per-cell FileBackend scratch dirs live under this root (empty →
-  /// default_scratch_dir("sweep")); cell N uses scratch_root/cellN so parallel cells never
-  /// share checkpoint slot files.
+  /// default_scratch_dir("sweep")); cell N uses scratch_root/cellN so
+  /// parallel cells never share checkpoint slot files.
   std::filesystem::path scratch_root;
   /// Collect per-cell stage timers (the t_stage..t_kernel columns). Baseline
   /// runs stay unbound either way, so memoized-baseline sharing is unaffected.

@@ -255,8 +255,8 @@ std::vector<std::vector<std::byte>> run_and_dump_slots(const std::string& scratc
 }
 
 TEST(ShardGroup, KofNRestoreIsDeterministicAndSlotImagesByteIdentical) {
-  const auto a = run_and_dump_slots("adcc_shard_det_a", "shards:2:5:step:4");
-  const auto b = run_and_dump_slots("adcc_shard_det_b", "shards:2:5:step:4");
+  const auto a = run_and_dump_slots("shard_det_a", "shards:2:5:step:4");
+  const auto b = run_and_dump_slots("shard_det_b", "shards:2:5:step:4");
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_FALSE(a[i].empty()) << "slot image " << i;
