@@ -1,8 +1,12 @@
 // Microbenchmarks (google-benchmark) for the persistence primitives: native
-// flush, NVM-throttled persists, checkpoint copies, DRAM-cache staging, and
-// undo-log snapshots. These are the constants behind Figs. 4/8/13.
+// flush per instruction, chunk CRC-32, NVM-throttled persists, checkpoint
+// copies, DRAM-cache staging, and undo-log snapshots. These are the constants
+// behind Figs. 4/8/13.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
+#include "checkpoint/chunk.hpp"
 #include "checkpoint/nvm_backend.hpp"
 #include "common/align.hpp"
 #include "nvm/dram_cache.hpp"
@@ -26,17 +30,42 @@ nvm::PerfModel& slow_model() {
   return m;
 }
 
+const char* instruction_name(nvm::FlushInstruction ins) {
+  switch (ins) {
+    case nvm::FlushInstruction::kClflush: return "clflush";
+    case nvm::FlushInstruction::kClflushopt: return "clflushopt";
+    case nvm::FlushInstruction::kClwb: return "clwb";
+  }
+  return "?";
+}
+
+// Dirty a range, then flush + fence it with instruction range(1); the label
+// names the instruction that ran after the CPU-support fallback.
 void BM_FlushRange(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
+  const auto ins = static_cast<nvm::FlushInstruction>(state.range(1));
   AlignedBuffer buf(bytes);
+  unsigned char fill = 0;
   for (auto _ : state) {
-    nvm::flush_range(buf.data(), bytes);
+    std::memset(buf.data(), ++fill, bytes);
+    nvm::flush_range(buf.data(), bytes, ins);
     nvm::store_fence();
   }
+  state.SetLabel(instruction_name(nvm::effective_flush_instruction(ins)));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_FlushRange)->Range(64, 1 << 20);
+BENCHMARK(BM_FlushRange)->ArgsProduct({benchmark::CreateRange(64, 1 << 20, 8), {0, 1, 2}});
+
+void BM_Crc32(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  AlignedBuffer buf(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) buf.data()[i] = static_cast<std::byte>(i * 131u);
+  for (auto _ : state) benchmark::DoNotOptimize(checkpoint::crc32(buf.data(), bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Range(64, 4 << 20);
 
 void BM_PersistNvmFast(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));

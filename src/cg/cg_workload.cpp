@@ -350,7 +350,7 @@ std::vector<double> CgWorkload::solution() const {
       return {z.begin(), z.end()};
     }
   }
-  ADCC_CHECK(false, "unknown engine");
+  ADCC_UNREACHABLE("unknown engine");
 }
 
 pmemtx::UndoLogStats CgWorkload::tx_log_stats() const {

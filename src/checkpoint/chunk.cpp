@@ -15,7 +15,11 @@ std::size_t total_bytes(std::span<const ObjectView> objs) {
 
 namespace {
 
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 4>;
+// Slicing-by-16: t[0] is the bytewise table of the reflected CRC-32
+// (polynomial 0xEDB88320); t[k][b] is the register update for byte b followed
+// by k zero bytes, so one step folds 16 input bytes with 16 independent
+// lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
 
 CrcTables make_crc_tables() {
   CrcTables t{};
@@ -24,12 +28,17 @@ CrcTables make_crc_tables() {
     for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
     t[0][i] = c;
   }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    t[1][i] = (t[0][i] >> 8) ^ t[0][t[0][i] & 0xFFu];
-    t[2][i] = (t[1][i] >> 8) ^ t[0][t[1][i] & 0xFFu];
-    t[3][i] = (t[2][i] >> 8) ^ t[0][t[2][i] & 0xFFu];
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
   }
   return t;
+}
+
+inline std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
@@ -38,12 +47,17 @@ std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
   static const CrcTables t = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = ~seed;
-  while (bytes >= 4) {
-    c ^= static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-    c = t[3][c & 0xFFu] ^ t[2][(c >> 8) & 0xFFu] ^ t[1][(c >> 16) & 0xFFu] ^ t[0][c >> 24];
-    p += 4;
-    bytes -= 4;
+  while (bytes >= 16) {
+    const std::uint32_t w0 = load_le32(p) ^ c;
+    const std::uint32_t w1 = load_le32(p + 4);
+    const std::uint32_t w2 = load_le32(p + 8);
+    const std::uint32_t w3 = load_le32(p + 12);
+    c = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu] ^ t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu] ^ t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu] ^ t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu] ^ t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+    p += 16;
+    bytes -= 16;
   }
   while (bytes-- > 0) c = (c >> 8) ^ t[0][(c ^ *p++) & 0xFFu];
   return ~c;

@@ -42,7 +42,8 @@ struct ObjectView {
 /// Total payload bytes of an object set.
 std::size_t total_bytes(std::span<const ObjectView> objs);
 
-/// CRC-32 (IEEE, reflected 0xEDB88320), slicing-by-4.
+/// CRC-32 (IEEE, reflected 0xEDB88320), slicing-by-16. `seed` chains:
+/// crc32(b, nb, crc32(a, na)) is the CRC of a followed by b.
 std::uint32_t crc32(const void* data, std::size_t bytes, std::uint32_t seed = 0);
 
 /// How the engine splits and serializes a checkpoint.

@@ -29,6 +29,11 @@ class ContractViolation : public std::logic_error {
     }                                              \
   } while (0)
 
+/// Ends a function after a switch that returns for every enumerator. Throws
+/// ContractViolation like ADCC_CHECK(false, msg), but as a bare [[noreturn]]
+/// call, so -Wreturn-type holds in instrumented (sanitizer, -O0) builds too.
+#define ADCC_UNREACHABLE(msg) ::adcc::contract_failure("unreachable", (msg))
+
 #ifdef NDEBUG
 #define ADCC_DCHECK(expr, msg) ((void)0)
 #else

@@ -21,7 +21,7 @@ std::string mode_name(Mode m) {
     case Mode::kAlgNvm: return "alg-nvm";
     case Mode::kAlgHetero: return "alg-nvm/dram";
   }
-  ADCC_CHECK(false, "unknown mode");
+  ADCC_UNREACHABLE("unknown mode");
 }
 
 std::vector<Mode> all_modes() {
@@ -62,7 +62,7 @@ DurabilityKind durability_kind(Mode m) {
     case Mode::kAlgNvm:
     case Mode::kAlgHetero: return DurabilityKind::kAlgorithm;
   }
-  ADCC_CHECK(false, "unknown mode");
+  ADCC_UNREACHABLE("unknown mode");
 }
 
 namespace {

@@ -88,7 +88,7 @@ std::string Table::render(TableFormat format) const {
     case TableFormat::kCsv: return render_csv();
     case TableFormat::kJson: return render_json();
   }
-  ADCC_CHECK(false, "unknown table format");
+  ADCC_UNREACHABLE("unknown table format");
 }
 
 std::string Table::render_csv() const {

@@ -248,7 +248,7 @@ std::string crash_link_name(const CrashScenario& crash) {
       return out;
     }
   }
-  ADCC_CHECK(false, "unknown crash kind");
+  ADCC_UNREACHABLE("unknown crash kind");
 }
 
 }  // namespace

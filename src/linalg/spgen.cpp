@@ -16,7 +16,7 @@ CgProblemShape shape_of(CgClass cls) {
     case CgClass::B: return {75000, 13};
     case CgClass::C: return {150000, 15};
   }
-  ADCC_CHECK(false, "unknown class");
+  ADCC_UNREACHABLE("unknown class");
 }
 
 std::string name_of(CgClass cls) {
@@ -27,7 +27,7 @@ std::string name_of(CgClass cls) {
     case CgClass::B: return "B";
     case CgClass::C: return "C";
   }
-  ADCC_CHECK(false, "unknown class");
+  ADCC_UNREACHABLE("unknown class");
 }
 
 CsrMatrix make_spd(std::size_t n, std::size_t nz_per_row, std::uint64_t seed) {

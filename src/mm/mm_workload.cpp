@@ -443,7 +443,7 @@ Matrix MmWorkload::result() const {
     case core::DurabilityKind::kAlgorithm:
       return strip_raw(ctemp_.data());
   }
-  ADCC_CHECK(false, "unknown engine");
+  ADCC_UNREACHABLE("unknown engine");
 }
 
 bool MmWorkload::verify() {

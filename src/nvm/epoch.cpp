@@ -16,7 +16,7 @@ void EpochPersister::commit_epoch() {
   if (staged_.empty()) return;
   std::size_t lines = 0;
   for (const Range& r : staged_) {
-    // CLFLUSHOPT-style weakly-ordered flushes: no fence between ranges.
+    // Weakly-ordered CLFLUSHOPT (where the CPU has it): no fence between ranges.
     flush_range(r.p, r.bytes, FlushInstruction::kClflushopt);
     lines += flush_line_count(r.p, r.bytes);
   }

@@ -29,8 +29,8 @@ void NvmRegion::write_durable(void* dst, const void* src, std::size_t bytes) {
 
 void NvmRegion::persist(const void* p, std::size_t bytes) {
   ADCC_CHECK(contains(p), "persist target must be arena memory");
-  flush_range(p, bytes);
-  store_fence();
+  flush_range(p, bytes, FlushInstruction::kClwb);
+  store_fence();  // Orders the weakly-ordered write-backs before the next store.
   const std::size_t lines = flush_line_count(p, bytes);
   model_.charge_flush_lines(lines);
   ++stats_.persist_calls;

@@ -51,11 +51,14 @@ class NvmRegion {
   void reset() { used_ = 0; }
 
   /// Copies [src, src+bytes) into the arena at `dst` (must be arena memory)
-  /// and makes it durable: memcpy + flush_range + fence, with NVM bandwidth
-  /// charged. This is the primitive checkpoints are built from.
+  /// and makes it durable: memcpy, then persist(). This is the primitive
+  /// checkpoints are built from.
   void write_durable(void* dst, const void* src, std::size_t bytes);
 
-  /// Persists arena bytes already written in place: flush + fence + charge.
+  /// Persists arena bytes already written in place: CLWB over every line
+  /// (falling back to CLFLUSHOPT, then CLFLUSH; see flush.hpp), one store
+  /// fence, and the perf-model charge for those lines. The fence orders the
+  /// write-backs before any later store (a commit marker, a header bump).
   void persist(const void* p, std::size_t bytes);
 
   bool contains(const void* p) const;

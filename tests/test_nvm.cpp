@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
@@ -31,12 +36,44 @@ TEST(Flush, RangeDoesNotCrashAndPreservesData) {
   EXPECT_DOUBLE_EQ(a[7], 1.25);
 }
 
-TEST(Flush, AllInstructionVariantsWork) {
-  AlignedArray<double> a(8);
-  flush_range(a.data(), 64, FlushInstruction::kClflush);
-  flush_range(a.data(), 64, FlushInstruction::kClflushopt);
-  flush_range(a.data(), 64, FlushInstruction::kClwb);
-  SUCCEED();
+constexpr FlushInstruction kAllInstructions[] = {
+    FlushInstruction::kClflush, FlushInstruction::kClflushopt, FlushInstruction::kClwb};
+
+TEST(Flush, ClflushAlwaysRunsAsItself) {
+  EXPECT_EQ(effective_flush_instruction(FlushInstruction::kClflush), FlushInstruction::kClflush);
+}
+
+TEST(Flush, WeaklyOrderedRequestsFallBackToWhatTheCpuSupports) {
+  const FlushInstruction opt = effective_flush_instruction(FlushInstruction::kClflushopt);
+  const FlushInstruction wb = effective_flush_instruction(FlushInstruction::kClwb);
+#if defined(__x86_64__)
+  // Independent oracle: CPUID leaf 7 EBX bit 23 = CLFLUSHOPT, bit 24 = CLWB.
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  const bool leaf7 = __get_cpuid_count(7, 0, &a, &b, &c, &d) != 0;
+  const bool has_clflushopt = leaf7 && ((b >> 23) & 1u) != 0;
+  const bool has_clwb = leaf7 && ((b >> 24) & 1u) != 0;
+  EXPECT_EQ(opt, has_clflushopt ? FlushInstruction::kClflushopt : FlushInstruction::kClflush);
+  EXPECT_EQ(wb, has_clwb ? FlushInstruction::kClwb : opt);
+#else
+  EXPECT_EQ(opt, FlushInstruction::kClflush);
+  EXPECT_EQ(wb, FlushInstruction::kClflush);
+#endif
+}
+
+TEST(Flush, EveryVariantPreservesAnUnalignedThreeLineRange) {
+  AlignedBuffer buf(4 * kCacheLine);
+  std::byte* p = buf.data() + 40;
+  const std::size_t n = 2 * kCacheLine;  // Bytes 40..167: lines 0, 1 and 2.
+  ASSERT_EQ(flush_line_count(p, n), 3u);
+  for (FlushInstruction ins : kAllInstructions) {
+    const auto salt = static_cast<unsigned>(ins) * 31u;
+    for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::byte>(i + salt);
+    flush_range(p, n, ins);
+    store_fence();
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(p[i], static_cast<std::byte>(i + salt)) << "instruction " << static_cast<int>(ins);
+    }
+  }
 }
 
 TEST(Flush, LineCountMatchesSpan) {
@@ -125,6 +162,23 @@ TEST(NvmRegion, WriteDurableCopies) {
   EXPECT_DOUBLE_EQ(dst[15], 3.0);
   EXPECT_EQ(r.stats().bulk_writes, 1u);
   EXPECT_GE(r.stats().persisted_lines, 2u);
+}
+
+TEST(NvmRegion, PersistCountsEveryLineAnUnalignedRangeTouches) {
+  PerfModel m = fast_model();
+  NvmRegion r(1u << 20, m);
+  auto s = r.allocate<std::byte>(4 * kCacheLine);
+  r.persist(s.data() + 40, 2 * kCacheLine);
+  EXPECT_EQ(r.stats().persist_calls, 1u);
+  EXPECT_EQ(r.stats().persisted_bytes, 2 * kCacheLine);
+  EXPECT_EQ(r.stats().persisted_lines, 3u);
+  EXPECT_EQ(m.stats().lines_flushed, 3u);
+  std::vector<std::byte> src(2 * kCacheLine, std::byte{0x5A});
+  r.write_durable(s.data() + 40, src.data(), src.size());
+  EXPECT_EQ(r.stats().persisted_lines, 6u);
+  EXPECT_EQ(m.stats().lines_flushed, 6u);
+  EXPECT_EQ(s[40], std::byte{0x5A});
+  EXPECT_EQ(s[40 + 2 * kCacheLine - 1], std::byte{0x5A});
 }
 
 TEST(NvmRegion, PersistRejectsForeignPointers) {
