@@ -33,7 +33,6 @@
 #include "core/registry.hpp"
 #include "core/report.hpp"
 #include "core/sweep.hpp"
-#include "checkpoint/codec.hpp"
 #include "core/telemetry.hpp"
 #include "kernels/backend.hpp"
 
@@ -107,10 +106,6 @@ int main(int argc, char** argv) try {
            "asynchronous checkpointing: save stages + drains in the background, the "
            "next unit overlaps the device window (sweepable axis)",
            "off")
-      .doc("ckpt_compress",
-           "per-chunk checkpoint payload codec: none | lz | lz:LEVEL (1..9, "
-           "lz = lz:2; sweepable axis)",
-           "none")
       .doc("ckpt_async_depth",
            "staging-arena ring depth for --ckpt_async: saves admit until N "
            "checkpoints are in flight before blocking (sweepable axis)",
@@ -132,6 +127,33 @@ int main(int argc, char** argv) try {
       .doc("seed", "problem seed");
   if (opts.maybe_print_help("adccbench")) return 0;
 
+  std::string error;
+  core::SweepSpec spec;
+  if (opts.has("sweep")) {
+    auto parsed = core::parse_sweep(opts.get("sweep", ""), &error);
+    if (!parsed) {
+      std::fprintf(stderr, "adccbench: bad --sweep: %s\n", error.c_str());
+      return 2;
+    }
+    spec = std::move(*parsed);
+  }
+
+  // A key no doc() registered is a typo or a retired flag; running the deck
+  // without it would silently measure something else. Sweep axes are option
+  // keys too, so they face the same check.
+  bool unknown = false;
+  for (const std::string& key : opts.undocumented_keys()) {
+    std::fprintf(stderr, "adccbench: unknown option --%s (see --help)\n", key.c_str());
+    unknown = true;
+  }
+  for (const core::SweepAxis& axis : spec.axes) {
+    if (opts.documented(axis.key)) continue;
+    std::fprintf(stderr, "adccbench: unknown --sweep axis '%s' (see --help)\n",
+                 axis.key.c_str());
+    unknown = true;
+  }
+  if (unknown) return 2;
+
   const auto format = core::parse_table_format(opts.get("format", "table"));
   if (!format) {
     std::fprintf(stderr, "adccbench: bad --format (want table | csv | json)\n");
@@ -151,18 +173,6 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  // Same eager treatment for the scalar --ckpt_compress spelling (a sweep
-  // ckpt_compress axis validates per-token in expand_string_token).
-  if (opts.has("ckpt_compress")) {
-    checkpoint::CodecSpec spec;
-    std::string codec_err;
-    if (!checkpoint::parse_codec(opts.get("ckpt_compress", "none"), &spec, &codec_err)) {
-      std::fprintf(stderr, "adccbench: bad --ckpt_compress '%s': %s\n",
-                   opts.get("ckpt_compress", "none").c_str(), codec_err.c_str());
-      return 2;
-    }
-  }
-
   auto& registry = core::WorkloadRegistry::instance();
   if (opts.get_bool("list")) {
     for (const auto& name : registry.names()) {
@@ -171,19 +181,9 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  // Build the deck: the --sweep axes, with the scalar flags injected as axes
-  // when absent so the single-scenario and --matrix spellings are the same
-  // engine path (--matrix is workload=all).
-  std::string error;
-  core::SweepSpec spec;
-  if (opts.has("sweep")) {
-    auto parsed = core::parse_sweep(opts.get("sweep", ""), &error);
-    if (!parsed) {
-      std::fprintf(stderr, "adccbench: bad --sweep: %s\n", error.c_str());
-      return 2;
-    }
-    spec = std::move(*parsed);
-  }
+  // Complete the deck: the scalar flags are injected as axes when --sweep
+  // does not name them, so the single-scenario and --matrix spellings are the
+  // same engine path (--matrix is workload=all).
   auto inject = [&](const char* key, const std::string& value, bool front) -> bool {
     if (spec.find(key) != nullptr) return true;
     auto axis = core::make_axis(key, value, &error);

@@ -68,21 +68,20 @@ import sys
 # Telemetry stage columns (sweep table): seconds of the last timed rep. The
 # t_spmv/t_gemm/t_xs columns are per-kernel slices of t_kernel (docs/
 # OBSERVABILITY.md); like t_kernel they are compute, not checkpoint time.
-STAGE_COLS = ("t_stage", "t_crc", "t_comp", "t_io", "t_drain", "t_kernel",
-              "t_spmv", "t_gemm", "t_xs")
+STAGE_COLS = ("t_stage", "t_crc", "t_io", "t_drain", "t_kernel", "t_spmv",
+              "t_gemm", "t_xs")
 # The stage-budget denominator: the synchronous checkpoint wall time. t_drain
 # overlaps these by design and t_kernel is compute, so neither belongs in it.
-# t_comp runs on the pipeline workers ahead of the device queue, so it does.
-STAGE_DENOM_COLS = ("t_stage", "t_crc", "t_comp", "t_io")
-# Columns absent from decks pinned before they existed: an absent key reads as
-# zero so old baselines keep gating, but a blank "-" still means unmeasured.
-OPTIONAL_STAGE_COLS = ("t_comp",)
+STAGE_DENOM_COLS = ("t_stage", "t_crc", "t_io")
 
-# Columns that are measurements, not cell identity.
+# Columns that are measurements, not cell identity. Baselines pinned before a
+# measurement column existed lack it, so a new one must join this set or every
+# cell of such a baseline reads as disappeared.
 MEASUREMENT_COLS = {
     "cell", "units", "seconds", "normalized", "overhead", "lost", "partial",
     "corrected", "torn", "salvaged", "overlap", "detect/unit", "resume/unit",
-    "victims", "epochs_rb", "replayed", "halo_kb", "status", *STAGE_COLS,
+    "victims", "epochs_rb", "replayed", "halo_kb", "flips", "detected",
+    "detect_lat", "miscorr", "status", *STAGE_COLS,
 }
 
 
@@ -301,11 +300,7 @@ def main():
         gated = 0
         worst = None
         for row in current:
-            denom_vals = [
-                0.0 if c in OPTIONAL_STAGE_COLS and c not in row
-                else parse_float(row.get(c))
-                for c in STAGE_DENOM_COLS
-            ]
+            denom_vals = [parse_float(row.get(c)) for c in STAGE_DENOM_COLS]
             value = parse_float(row.get(stage))
             if value is None or None in denom_vals:
                 continue  # Blank ("-") stage columns: --no_timing or old deck.
@@ -409,7 +404,7 @@ def self_test():
         return subprocess.run([sys.executable, me, *argv],
                               capture_output=True, text=True)
 
-    def stage_row(mode, t_stage, t_crc, t_io, t_comp="0.0000"):
+    def stage_row(mode, t_stage, t_crc, t_io):
         return {
             "cell": "0", "workload": "cg", "mode": mode, "crash": "none",
             "units": "3", "seconds": "0.5000", "normalized": "-",
@@ -417,8 +412,7 @@ def self_test():
             "torn": "0", "salvaged": "0", "overlap": "-", "detect/unit": "-",
             "resume/unit": "-", "victims": "0", "epochs_rb": "0",
             "replayed": "0", "halo_kb": "0.0", "t_stage": t_stage,
-            "t_crc": t_crc, "t_comp": t_comp if t_stage != "-" else "-",
-            "t_io": t_io, "t_drain": "-",
+            "t_crc": t_crc, "t_io": t_io, "t_drain": "-",
             "t_kernel": "0.4000", "t_spmv": "0.3500", "t_gemm": "0.0000",
             "t_xs": "0.0000", "status": "ok",
         }
@@ -454,22 +448,6 @@ def self_test():
 
     expect("budget-pass", run(lean, lean, "--stage-budget", "t_crc=0.35"),
            0, "stage budget t_crc worst 10.0%")
-    # Decks pinned before the codec landed lack the t_comp column entirely;
-    # the denominator must read it as zero, not skip the cell.
-    old_rows = [stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400")]
-    for row in old_rows:
-        del row["t_comp"], row["salvaged"]
-    old = deck("old.json", old_rows)
-    expect("budget-old-deck", run(old, old, "--stage-budget", "t_crc=0.35"),
-           0, "stage budget t_crc worst 10.0%")
-    # And in a current deck t_comp joins the denominator: 0.02 / 0.25 = 8%.
-    comp = deck("comp.json", [
-        stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400", "0.0500"),
-    ])
-    expect("budget-comp-denom", run(comp, comp, "--stage-budget", "t_crc=0.35"),
-           0, "stage budget t_crc worst 8.0%")
-    expect("budget-comp-gate", run(comp, comp, "--stage-budget", "t_comp=0.10"),
-           1, "stage budget: t_comp is 20.0%")
     expect("budget-fail", run(fat, fat, "--stage-budget", "t_crc=0.35"),
            1, "stage budget: t_crc is 50.0%")
     expect("budget-unmeasurable", run(blank, blank, "--stage-budget", "t_crc=0.35"),
@@ -478,6 +456,16 @@ def self_test():
            1, "bad --stage-budget")
     expect("budget-bad-stage", run(lean, lean, "--stage-budget", "seconds=0.5"),
            1, "bad --stage-budget")
+
+    # The flip columns are measurements: a baseline pinned before they existed
+    # must key equal to a current deck that carries them.
+    flipped = deck("flipped.json", [
+        dict(stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400"),
+             flips="1", detected="1", detect_lat="2", miscorr="0"),
+    ])
+    unflipped = deck("unflipped.json", [stage_row("ckpt-disk", "0.0400", "0.0200", "0.1400")])
+    expect("flip-columns-not-identity", run(flipped, unflipped),
+           0, "1 cells within tolerance")
 
     # Speedup gate with a backend filter: omp scales 2.0x, serial stays flat
     # (as it must — the serial rows never see the threads axis). Unfiltered,

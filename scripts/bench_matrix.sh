@@ -25,12 +25,6 @@
 #                           4-thread cell beating its 1-thread cell
 #                           (requires an -DADCC_OPENMP=ON build; the default
 #                           build directory is configured with the flag)
-#   BENCH_ckpt_compress.json the per-chunk compression deck: the 67 MB CG
-#                           payload on ckpt-disk with async saves, crossed
-#                           over ckpt_compress=none+lz x ckpt_async_depth=1+2,
-#                           with a native baseline — bench_check.py gates the
-#                           lz/depth-2 normalized overhead at <= 0.85x the
-#                           uncompressed depth-1 async scheme's
 #
 #   scripts/bench_matrix.sh                 # build + decks -> BENCH_*.json
 #   scripts/bench_matrix.sh --out /tmp/b.json --bin ./build/adccbench --no-build
@@ -47,7 +41,6 @@ OUT_CKPT="BENCH_ckpt_threads.json"
 OUT_ASYNC="BENCH_ckpt_async.json"
 OUT_SHARDS="BENCH_shards.json"
 OUT_THREADS="BENCH_threads.json"
-OUT_COMPRESS="BENCH_ckpt_compress.json"
 BUILD=1
 
 while [[ $# -gt 0 ]]; do
@@ -58,7 +51,6 @@ while [[ $# -gt 0 ]]; do
     --out-async) OUT_ASYNC="$2"; shift 2 ;;
     --out-shards) OUT_SHARDS="$2"; shift 2 ;;
     --out-threads) OUT_THREADS="$2"; shift 2 ;;
-    --out-compress) OUT_COMPRESS="$2"; shift 2 ;;
     --no-build) BUILD=0; shift ;;
     *) echo "bench_matrix.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
@@ -143,19 +135,3 @@ if "$BIN" --list --backend=omp >/dev/null 2>&1; then
 else
   echo "bench_matrix: $BIN lacks the omp backend (build with -DADCC_OPENMP=ON); skipping $OUT_THREADS" >&2
 fi
-
-# Per-chunk compression deck: the 67 MB CG payload under a SLOW device model
-# (disk_mbps=25) and a dense matrix (nz=48), crossed over
-# ckpt_compress=none+lz x ckpt_async_depth=1+2. The shape is deliberate: the
-# codec's CPU cost hides inside the device-throttle window (2 pipeline
-# workers: one compresses while the other waits on the bandwidth bucket), and
-# the dense compute raises the hidden share of the drain, so the stored-byte
-# cut (the upper byte planes of the f64 state pack/Huffman tightly) lands
-# almost fully on the EXPOSED overhead. WITH a native baseline:
-# bench_check.py gates the lz cells' normalized overhead at <= 0.85x their
-# none counterparts per ring depth, and the baseline_key skip-list keys all
-# four cells to one native run.
-run_deck ckpt_compress "$OUT_COMPRESS" \
-  --workload=cg --mode=ckpt-disk --ckpt_async=1 --ckpt_threads=2 --disk_mbps=25 \
-  --sweep="ckpt_compress=none+lz,ckpt_async_depth=1+2" \
-  --n=2800000 --nz=48 --iters=3 --reps=3 --verify=off

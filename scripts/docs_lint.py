@@ -52,7 +52,6 @@ PUBLIC_HEADERS = [
     "src/checkpoint/backend.hpp",
     "src/checkpoint/chunk.hpp",
     "src/checkpoint/checkpoint_set.hpp",
-    "src/checkpoint/codec.hpp",
     "src/checkpoint/write_pipeline.hpp",
     "src/kernels/backend.hpp",
     "src/kernels/threads.hpp",

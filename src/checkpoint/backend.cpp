@@ -260,12 +260,10 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
   SaveReceipt receipt;
   receipt.chunks.assign(layout.chunks.size(), SaveReceipt::Chunk::kUnselected);
   receipt.crcs.assign(layout.chunks.size(), 0);
-  std::vector<std::uint32_t> stored_bytes(layout.chunks.size(), 0);
 
   auto* cache = hooks.crc_cache.get();
   ADCC_CHECK(cache == nullptr || cache->size() == layout.chunks.size(),
              "per-slot CRC cache does not match the layout");
-  const bool compressing = chunks_.compress.codec != Codec::kRaw;
 
   std::mutex point_mu;
   const auto fire_point = [&](const char* name) {
@@ -283,16 +281,16 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     // persisted (the torn image a power failure leaves), nothing else lands.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) throw DrainCancelled{};
     if (hooks.select && !hooks.select(i)) return;
-    scratch.raw.resize(sizeof(ChunkHeader) + c.payload_bytes);
+    scratch.resize(sizeof(ChunkHeader) + c.payload_bytes);
     const auto* src = static_cast<const std::byte*>(objs[c.object].data) + c.object_offset;
     {
       const core::StageTimer timer("ckpt/stage");
-      std::memcpy(scratch.raw.data() + sizeof(ChunkHeader), src, c.payload_bytes);
+      std::memcpy(scratch.data() + sizeof(ChunkHeader), src, c.payload_bytes);
     }
     std::uint32_t crc;
     {
       const core::StageTimer timer("ckpt/crc");
-      crc = crc32(scratch.raw.data() + sizeof(ChunkHeader), c.payload_bytes);
+      crc = crc32(scratch.data() + sizeof(ChunkHeader), c.payload_bytes);
     }
     receipt.crcs[i] = crc;
     const bool clean = cache != nullptr && (*cache)[i].has_value() && *(*cache)[i] == crc;
@@ -329,40 +327,15 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     h.payload_bytes = c.payload_bytes;
     h.version = version;
     h.epoch = version;
-    h.stored_bytes = c.payload_bytes;
-    h.codec = static_cast<std::uint32_t>(Codec::kRaw);
     h.payload_crc = crc;
-    h.stored_crc = crc;
-
-    std::byte* out = scratch.raw.data();
-    std::size_t out_bytes = scratch.raw.size();
-    if (compressing) {
-      std::size_t packed;
-      {
-        const core::StageTimer timer("ckpt/compress");
-        packed = lz_compress(scratch.raw.data() + sizeof(ChunkHeader), c.payload_bytes,
-                             scratch.packed, chunks_.compress.level);
-      }
-      if (packed > 0) {
-        h.codec = static_cast<std::uint32_t>(Codec::kLz);
-        h.stored_bytes = static_cast<std::uint32_t>(packed);
-        h.stored_crc = crc32(scratch.packed.data(), packed);
-        const auto* hp = reinterpret_cast<const std::byte*>(&h);
-        scratch.packed.insert(scratch.packed.begin(), hp, hp + sizeof(h));
-        out = scratch.packed.data();
-        out_bytes = sizeof(h) + packed;
-      }
-      fire_point(kPointChunkCompressed);
-    }
     h.header_crc = chunk_header_crc(h);
-    std::memcpy(out, &h, sizeof(h));
+    std::memcpy(scratch.data(), &h, sizeof(h));
     {
       // ckpt/queue is the device-facing cost: the medium write plus any
       // device-bandwidth throttle wait. The sweep surfaces it as t_io.
       const core::StageTimer timer("ckpt/queue");
-      write_span(slot, c.image_offset, out, out_bytes);
+      write_span(slot, c.image_offset, scratch.data(), scratch.size());
     }
-    stored_bytes[i] = h.stored_bytes;
     receipt.chunks[i] = SaveReceipt::Chunk::kWritten;
     // Cache update strictly AFTER the media write: a crash between the two
     // leaves a stale (pessimistic) entry, never an optimistic one that would
@@ -376,7 +349,6 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
       case SaveReceipt::Chunk::kWritten:
         ++receipt.written;
         receipt.payload_bytes += layout.chunks[i].payload_bytes;
-        receipt.stored_bytes += stored_bytes[i];
         break;
       case SaveReceipt::Chunk::kClean:
         ++receipt.skipped;
@@ -410,7 +382,6 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
 
   ++stats_.saves;
   stats_.bytes_saved += receipt.payload_bytes;
-  stats_.bytes_stored += receipt.stored_bytes;
   stats_.chunks_written += receipt.written;
   stats_.chunks_skipped += receipt.skipped;
   stats_.chunks_stamped += receipt.stamped;
@@ -467,8 +438,7 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
   ADCC_CHECK(layout.chunks.size() == h.chunk_count,
              "slot header chunk count disagrees with its own layout");
 
-  std::vector<std::byte> stored;
-  std::vector<std::byte> raw;
+  std::vector<std::byte> payload;
   std::size_t payload_loaded = 0;
   for (std::size_t i = 0; i < layout.chunks.size(); ++i) {
     const ChunkLayout::Chunk& c = layout.chunks[i];
@@ -479,8 +449,7 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
       throw TornCheckpoint(slot_str(slot) + " is truncated at chunk " + std::to_string(i));
     }
     if (ch.magic != kChunkMagic || ch.header_crc != chunk_header_crc(ch) ||
-        ch.object != c.object || ch.index != c.index || ch.payload_bytes != c.payload_bytes ||
-        ch.stored_bytes > c.payload_bytes) {
+        ch.object != c.object || ch.index != c.index || ch.payload_bytes != c.payload_bytes) {
       throw TornCheckpoint(where + " has a torn header");
     }
     if (salvage.has_value()) {
@@ -492,36 +461,17 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
     } else if (ch.version > h.version) {
       throw TornCheckpoint(where + " belongs to an uncommitted newer save (torn write)");
     }
-    stored.resize(ch.stored_bytes);
-    if (read_span(slot, c.image_offset + sizeof(ChunkHeader), stored.data(), stored.size()) !=
-        stored.size()) {
-      throw TornCheckpoint(where + " has truncated stored bytes");
+    // Verify in a buffer, then copy: unverified bytes never land on a live
+    // object.
+    payload.resize(c.payload_bytes);
+    if (read_span(slot, c.image_offset + sizeof(ChunkHeader), payload.data(), payload.size()) !=
+        payload.size()) {
+      throw TornCheckpoint(where + " has a truncated payload");
     }
-    if (crc32(stored.data(), stored.size()) != ch.stored_crc) {
-      throw TornCheckpoint(where + " fails its stored CRC (torn write)");
+    if (crc32(payload.data(), payload.size()) != ch.payload_crc) {
+      throw TornCheckpoint(where + " fails its payload CRC (torn write)");
     }
-    const std::byte* payload = stored.data();
-    if (ch.codec == static_cast<std::uint32_t>(Codec::kLz)) {
-      raw.resize(c.payload_bytes);
-      if (!lz_decompress(stored.data(), stored.size(), raw.data(), c.payload_bytes)) {
-        throw TornCheckpoint(where + " fails to decompress");
-      }
-      // Both CRCs verify on load: the stored bytes above, the decompressed
-      // payload here — a codec bug can never silently corrupt a restore.
-      if (crc32(raw.data(), c.payload_bytes) != ch.payload_crc) {
-        throw TornCheckpoint(where + " fails its payload CRC after decompression");
-      }
-      payload = raw.data();
-    } else {
-      if (ch.codec != static_cast<std::uint32_t>(Codec::kRaw) ||
-          ch.stored_bytes != c.payload_bytes) {
-        throw TornCheckpoint(where + " has an unknown payload codec");
-      }
-      if (ch.payload_crc != ch.stored_crc) {
-        throw TornCheckpoint(where + " fails its payload CRC (torn write)");
-      }
-    }
-    std::memcpy(static_cast<std::byte*>(objs[c.object].data) + c.object_offset, payload,
+    std::memcpy(static_cast<std::byte*>(objs[c.object].data) + c.object_offset, payload.data(),
                 c.payload_bytes);
     payload_loaded += c.payload_bytes;
     ++stats_.chunks_loaded;
@@ -576,7 +526,7 @@ TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs,
     }
     const bool header_ok = ch.header_crc == chunk_header_crc(ch) && ch.object == c.object &&
                            ch.index == c.index && ch.payload_bytes == c.payload_bytes &&
-                           ch.stored_bytes <= c.payload_bytes && ch.epoch >= ch.version;
+                           ch.epoch >= ch.version;
     if (!header_ok || ch.version > base) ++probe.torn_chunks;
     if (header_ok) {
       intervals.emplace_back(ch.version, ch.epoch);

@@ -11,16 +11,15 @@
 //
 // save()/load() are now NON-virtual: the base class owns the chunk engine
 // (layout, CRC32 integrity headers, the WritePipeline fan-out across
-// --ckpt_threads workers, per-chunk compression ahead of the device queue,
-// dirty-chunk filtering, and the commit order), and a medium implements only
-// the span primitives below — "persist this chunk span", "read this span",
+// --ckpt_threads workers, dirty-chunk filtering, and the commit order), and a
+// medium implements only the span primitives below — "persist this chunk span", "read this span",
 // "commit the (slot, version) marker".
 //
 // All backends remain double-buffer safe: CheckpointSet alternates slots and
 // the version marker is committed last, so a crash mid-checkpoint leaves the
 // previous checkpoint intact — and, new with the chunk format, the *torn*
 // slot is detectable (mixed chunk versions / CRC mismatches) instead of being
-// silent garbage. Since format 2, a torn slot that is in fact COMPLETE
+// silent garbage. A torn slot that is in fact COMPLETE
 // (every chunk CRC-valid and epoch-coherent at the interrupted save's
 // version — the crash landed between the last chunk and the commit) is also
 // *salvageable*: load_salvage() recovers the interrupted save instead of
@@ -82,11 +81,6 @@ inline constexpr const char* kPointChunkLoaded = "ckpt_restore";
 inline constexpr const char* kPointChunkStaged = "ckpt_stage";
 inline constexpr const char* kPointChunkDrained = "ckpt_drain";
 
-/// Per chunk compressed on a pipeline worker (point:ckpt_compress[:K], fired
-/// only when --ckpt_compress is active) — a crash here dies before the
-/// chunk's device write, torn-slot evidence one chunk earlier than ckpt_chunk.
-inline constexpr const char* kPointChunkCompressed = "ckpt_compress";
-
 /// Per save admitted into a ring of staging arenas deeper than one
 /// (point:ring_stage[:K], fired by CheckpointSet::save_async when
 /// --ckpt_async_depth > 1): a crash here loses the newly staged image while
@@ -132,8 +126,7 @@ struct SaveReceipt {
   std::size_t written = 0;
   std::size_t skipped = 0;          ///< Selected but unchanged (kClean).
   std::size_t stamped = 0;          ///< Clean, epoch-stamped in place (in_place).
-  std::size_t payload_bytes = 0;    ///< Raw payload bytes of written chunks.
-  std::size_t stored_bytes = 0;     ///< Post-codec bytes through the device queue.
+  std::size_t payload_bytes = 0;    ///< Payload bytes of written chunks.
 };
 
 /// Result of the cheap torn-save classifier (chunk-header scan, no payloads).
@@ -158,8 +151,7 @@ struct TornProbe {
 struct BackendStats {
   std::uint64_t saves = 0;
   std::uint64_t loads = 0;
-  std::uint64_t bytes_saved = 0;     ///< Raw payload bytes written (headers excluded).
-  std::uint64_t bytes_stored = 0;    ///< Post-codec bytes through the device queue.
+  std::uint64_t bytes_saved = 0;     ///< Payload bytes written (headers excluded).
   std::uint64_t bytes_loaded = 0;
   std::uint64_t chunks_written = 0;
   std::uint64_t chunks_skipped = 0;  ///< Dirty-filtered (clean) chunks.
@@ -180,10 +172,10 @@ struct DrainOutcome {
 };
 
 /// The chunk engine: non-virtual save/load/probe over the per-medium span
-/// primitives below. Owns layout, CRC32 integrity headers, per-chunk
-/// compression, the WritePipeline fan-out, dirty-chunk filtering, the commit
-/// order, and the asynchronous drain ring; a medium implements only
-/// "persist/read this span" and the (slot, version) marker.
+/// primitives below. Owns layout, CRC32 integrity headers, the WritePipeline
+/// fan-out, dirty-chunk filtering, the commit order, and the asynchronous
+/// drain ring; a medium implements only "persist/read this span" and the
+/// (slot, version) marker.
 class Backend {
  public:
   /// Out of line (with the destructor): the drain ring member is an
@@ -197,18 +189,18 @@ class Backend {
   /// drain ring is an incomplete type here.
   virtual ~Backend();
 
-  /// Chunk size / pipeline width / codec for subsequent saves
-  /// (--ckpt_chunk_kb, --ckpt_threads, --ckpt_compress, ...).
+  /// Chunk size / pipeline width / async ring for subsequent saves
+  /// (--ckpt_chunk_kb, --ckpt_threads, --ckpt_async, ...).
   void configure_chunks(const ChunkConfig& cfg);
   const ChunkConfig& chunk_config() const { return chunks_; }
 
   /// Durably stores the objects as `slot` and then durably records
-  /// (slot, version) as the newest checkpoint. Chunks are serialized (and,
-  /// with a codec configured, compressed) on the configured pipeline workers
-  /// at deterministic image offsets (images are byte-identical across worker
-  /// counts); the marker commit stays last. `layout`, when given, must be
-  /// ChunkLayout::make(objs, chunk_bytes) — CheckpointSet passes its memoized
-  /// copy so per-unit saves skip the rebuild.
+  /// (slot, version) as the newest checkpoint. Chunks are serialized on the
+  /// configured pipeline workers at deterministic image offsets (images are
+  /// byte-identical across worker counts); the marker commit stays last.
+  /// `layout`, when given, must be ChunkLayout::make(objs, chunk_bytes) —
+  /// CheckpointSet passes its memoized copy so per-unit saves skip the
+  /// rebuild.
   SaveReceipt save(int slot, std::uint64_t version, std::span<const ObjectView> objs,
                    const ChunkHooks& hooks = {}, const ChunkLayout* layout = nullptr);
 
@@ -255,19 +247,19 @@ class Backend {
   /// throws.
   void abort_drain() noexcept;
 
-  /// Verifies, decompresses and loads the slot image back into the object
-  /// pointers. Throws LayoutMismatch when the saved object table does not
-  /// match `objs` (no object is modified), and TornCheckpoint on any
-  /// integrity failure (objects already verified may have been copied).
+  /// Verifies and loads the slot image back into the object pointers. Throws
+  /// LayoutMismatch when the saved object table does not match `objs` (no
+  /// object is modified), and TornCheckpoint on any integrity failure
+  /// (objects already verified may have been copied).
   /// Returns the version stored with the slot.
   std::uint64_t load(int slot, std::span<const ObjectView> objs, const ChunkHooks& hooks = {});
 
   /// Torn-slot salvage: loads the slot at the interrupted-but-complete
   /// version `want` a probe_torn() scan reported salvage-ready (chunks are
-  /// accepted when their [version, epoch] interval covers `want`; both the
-  /// stored CRC and the post-decompression payload CRC must verify). The
-  /// caller re-commits the marker afterwards (recommit) to make the salvage
-  /// durable. Throws TornCheckpoint when a payload fails verification.
+  /// accepted when their [version, epoch] interval covers `want`; every
+  /// payload CRC must verify). The caller re-commits the marker afterwards
+  /// (recommit) to make the salvage durable. Throws TornCheckpoint when a
+  /// payload fails verification.
   std::uint64_t load_salvage(int slot, std::uint64_t want, std::span<const ObjectView> objs,
                              const ChunkHooks& hooks = {});
 

@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "checkpoint/codec.hpp"
-
 namespace adcc::checkpoint {
 
 /// A view of one application object included in checkpoints. Zero-byte
@@ -53,10 +51,6 @@ struct ChunkConfig {
   /// --ckpt_async: CheckpointSet::save dispatches to save_async (stage +
   /// background drain) instead of blocking through the device window.
   bool async = false;
-  /// --ckpt_compress: per-chunk payload codec applied on the pipeline workers
-  /// before the device-bandwidth queue (see codec.hpp). Chunks that do not
-  /// shrink fall back to raw storage individually.
-  CodecSpec compress;
   /// --ckpt_async_depth: staging-arena ring depth for save_async. Depth 1 is
   /// the classic one-drain-in-flight handshake; deeper rings let bursty units
   /// stage save K+1 while save K still drains (the backend serializes the
@@ -72,9 +66,9 @@ struct ChunkConfig {
 
 inline constexpr std::uint32_t kSlotMagic = 0x41444343u;   // "ADCC"
 inline constexpr std::uint32_t kChunkMagic = 0x41446B63u;  // "ADkc"
-/// Format 2: 56-byte ChunkHeader with per-chunk epoch stamps and the
-/// compression fields (stored_bytes / codec / stored_crc).
-inline constexpr std::uint32_t kChunkFormat = 2;
+/// Format 3: 40-byte ChunkHeader with per-chunk epoch stamps and one payload
+/// CRC; the payload is stored raw.
+inline constexpr std::uint32_t kChunkFormat = 3;
 
 /// Fixed-size slot prologue; the object-size table (u64 per object) follows.
 struct SlotHeader {
@@ -90,28 +84,22 @@ struct SlotHeader {
 };
 static_assert(sizeof(SlotHeader) == 48);
 
-/// Per-chunk prologue, immediately followed by the stored payload bytes
-/// (stored_bytes <= payload_bytes; the chunk's image region is always sized
-/// for the raw payload, compressed chunks simply write it short).
+/// Per-chunk prologue, immediately followed by the payload_bytes raw payload.
 struct ChunkHeader {
   std::uint32_t magic = 0;
   std::uint32_t object = 0;         ///< Object index in registration order.
   std::uint32_t index = 0;          ///< Chunk index within the object.
-  std::uint32_t payload_bytes = 0;  ///< Raw (decompressed) payload bytes.
+  std::uint32_t payload_bytes = 0;  ///< Payload bytes after this header.
   std::uint64_t version = 0;        ///< Version of the save that wrote it.
   /// Newest save this chunk's payload was verified valid for (>= version):
   /// dirty-commit saves re-stamp clean chunks' epochs instead of rewriting
   /// them, so a copy is good for every version in [version, epoch] — the
   /// coherence interval torn-slot salvage unions over.
   std::uint64_t epoch = 0;
-  std::uint32_t stored_bytes = 0;   ///< Bytes on media after this header.
-  std::uint32_t codec = 0;          ///< checkpoint::Codec of the stored bytes.
-  std::uint32_t payload_crc = 0;    ///< CRC of the raw payload.
-  std::uint32_t stored_crc = 0;     ///< CRC of the stored (possibly compressed) bytes.
-  std::uint32_t reserved = 0;
+  std::uint32_t payload_crc = 0;    ///< CRC of the payload.
   std::uint32_t header_crc = 0;     ///< CRC of this struct with header_crc = 0.
 };
-static_assert(sizeof(ChunkHeader) == 56);
+static_assert(sizeof(ChunkHeader) == 40);
 
 std::uint32_t slot_header_crc(const SlotHeader& h);
 std::uint32_t chunk_header_crc(const ChunkHeader& h);

@@ -3,8 +3,8 @@
 // run(count, fn) executes fn(chunk_index, scratch) for every chunk index in
 // [0, count), dynamically balanced across the configured worker count (the
 // calling thread is worker 0, so one-worker pipelines add no thread at all).
-// Each worker owns a reusable ChunkScratch: a buffer for [ChunkHeader][payload]
-// serialization plus a second one the per-chunk codec compresses into.
+// Each worker owns a reusable ChunkScratch: the buffer a chunk's
+// [ChunkHeader][payload] image is serialized into.
 //
 // Exception semantics mirror a power failure: the first exception aborts the
 // remaining chunks (workers drain without starting new ones) and is rethrown
@@ -24,12 +24,8 @@
 
 namespace adcc::checkpoint {
 
-/// Per-worker reusable buffers: `raw` holds the serialized
-/// [ChunkHeader][raw payload] image, `packed` the codec's output.
-struct ChunkScratch {
-  std::vector<std::byte> raw;
-  std::vector<std::byte> packed;
-};
+/// Per-worker reusable buffer holding one serialized [ChunkHeader][payload].
+using ChunkScratch = std::vector<std::byte>;
 
 /// The worker pool serializing checkpoint chunks (see the file comment).
 class WritePipeline {

@@ -1,5 +1,6 @@
 #include "common/options.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <sstream>
@@ -104,6 +105,19 @@ bool Options::maybe_print_help(const std::string& program) const {
   if (!has("help")) return false;
   std::fputs(help_text(program).c_str(), stdout);
   return true;
+}
+
+bool Options::documented(const std::string& key) const {
+  return key == "help" ||
+         std::any_of(docs_.begin(), docs_.end(), [&](const Doc& d) { return d.key == key; });
+}
+
+std::vector<std::string> Options::undocumented_keys() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : kv_) {
+    if (!documented(key)) keys.push_back(key);
+  }
+  return keys;
 }
 
 }  // namespace adcc

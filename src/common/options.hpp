@@ -6,6 +6,8 @@
 // Binaries document their keys with doc() once after parsing; --help output is
 // then generated from the registered keys (maybe_print_help), so the flag list
 // printed to the user and the flag list the code reads cannot drift apart.
+// undocumented_keys() names what was passed but never registered, so a binary
+// can reject a typo or a retired flag instead of silently ignoring it.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +53,12 @@ class Options {
   /// When --help was passed: prints help_text to stdout and returns true (the
   /// caller should exit 0).
   bool maybe_print_help(const std::string& program) const;
+
+  /// True when `key` was doc()'d, or is the built-in "help".
+  bool documented(const std::string& key) const;
+
+  /// The keys that were set but never doc()'d, in sorted order.
+  std::vector<std::string> undocumented_keys() const;
 
  private:
   struct Doc {

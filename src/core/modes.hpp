@@ -72,9 +72,6 @@ struct ModeEnvConfig {
   /// --ckpt_async: checkpoint saves stage + drain in the background, so the
   /// next work unit overlaps the device window (sweepable axis ckpt_async=0+1).
   bool ckpt_async = false;
-  /// --ckpt_compress: per-chunk payload codec applied on the pipeline workers
-  /// before the device-bandwidth queue ("none", "lz", "lz:LEVEL").
-  checkpoint::CodecSpec ckpt_compress;
   /// --ckpt_async_depth: staging-arena ring depth for asynchronous saves.
   int ckpt_async_depth = 1;
   /// --ckpt_dirty_commit: mostly-clean images rewrite only dirty chunks in

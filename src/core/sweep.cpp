@@ -48,11 +48,10 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
 }
 
 /// The axes whose values are names, not numbers: never range-expanded, and the
-/// crash axis may contain ':' freely (point:cg:p_updated:15). ckpt_compress is
-/// here because "lz:2" would otherwise parse as a numeric range.
+/// crash axis may contain ':' freely (point:cg:p_updated:15).
 bool is_string_axis(std::string_view key) {
   return key == "workload" || key == "mode" || key == "crash" || key == "policy" ||
-         key == "backend" || key == "ckpt_compress";
+         key == "backend";
 }
 
 bool expand_string_token(std::string_view key, std::string_view tok,
@@ -107,17 +106,6 @@ bool expand_string_token(std::string_view key, std::string_view tok,
       for (const std::string& name : kernel_backend_names()) built += " " + name;
       return fail(error,
                   "axis 'backend': unknown kernel backend '" + token + "' (built:" + built + ")");
-    }
-    out.push_back(token);
-    return true;
-  }
-  if (key == "ckpt_compress") {
-    // Eager codec validation: a typo'd codec spec is a deck parse error, not
-    // a per-cell failure row.
-    checkpoint::CodecSpec spec;
-    std::string why;
-    if (!checkpoint::parse_codec(token, &spec, &why)) {
-      return fail(error, "axis 'ckpt_compress': " + why);
     }
     out.push_back(token);
     return true;
@@ -392,12 +380,6 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
   sc.env.ckpt_chunk_bytes =
       std::max<std::size_t>(1u << 10, opts.get_size("ckpt_chunk_kb", 256) << 10);
   sc.env.ckpt_async = opts.get_bool("ckpt_async");
-  if (opts.has("ckpt_compress")) {
-    std::string why;
-    ADCC_CHECK(checkpoint::parse_codec(opts.get("ckpt_compress", "none"),
-                                       &sc.env.ckpt_compress, &why),
-               ("bad --ckpt_compress: " + why).c_str());
-  }
   sc.env.ckpt_async_depth = std::max(1, static_cast<int>(opts.get_int("ckpt_async_depth", 1)));
   sc.env.ckpt_dirty_commit = opts.get_bool("ckpt_dirty_commit");
   ADCC_CHECK(!sc.env.ckpt_dirty_commit || opts.get_size("shards", 1) <= 1,
@@ -430,9 +412,9 @@ std::string baseline_key(const std::string& workload,
   std::string key = workload;
   for (const auto& [k, v] : assignment) {
     if (k == "mode" || k == "crash" || k == "policy" || k == "ckpt_threads" ||
-        k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_compress" ||
-        k == "ckpt_async_depth" || k == "ckpt_dirty_commit" || k == "disk_mbps" ||
-        k == "shards" || k == "shard_stagger" || k == "backend" || k == "threads") {
+        k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_async_depth" ||
+        k == "ckpt_dirty_commit" || k == "disk_mbps" || k == "shards" ||
+        k == "shard_stagger" || k == "backend" || k == "threads") {
       continue;
     }
     key += '\x1f' + k + '=' + v;
@@ -544,7 +526,6 @@ SweepCellResult run_cell(const SweepSpec& spec, const SweepConfig& cfg, std::siz
       cell.telemetry = true;
       cell.t_stage = telemetry->seconds("ckpt/stage");
       cell.t_crc = telemetry->seconds("ckpt/crc");
-      cell.t_comp = telemetry->seconds("ckpt/compress");
       cell.t_io = telemetry->seconds("ckpt/queue");
       cell.t_drain = telemetry->seconds("ckpt/drain");
       cell.t_kernel = telemetry->prefix_seconds("kernel/");
@@ -644,11 +625,12 @@ Table SweepResult::table(bool timing) const {
                         "corrected", "torn", "salvaged", "overlap", "detect/unit",
                         "resume/unit", "victims", "epochs_rb", "replayed", "halo_kb",
                         "flips", "detected", "detect_lat", "miscorr",
-                        "t_stage", "t_crc", "t_comp", "t_io", "t_drain", "t_kernel", "t_spmv",
+                        "t_stage", "t_crc", "t_io", "t_drain", "t_kernel", "t_spmv",
                         "t_gemm", "t_xs", "status"}) {
     headers.emplace_back(h);
   }
 
+  const std::size_t width = headers.size();
   Table table(std::move(headers));
   for (const SweepCellResult& cell : cells) {
     std::vector<std::string> row = {std::to_string(cell.index), cell.workload,
@@ -661,7 +643,7 @@ Table SweepResult::table(bool timing) const {
       row.push_back(std::move(value));
     }
     if (cell.status == SweepCellResult::Status::kError) {
-      for (int i = 0; i < 29; ++i) row.emplace_back("-");
+      row.resize(width - 1, "-");  // Every metric column blank, then status.
       row.push_back("ERROR: " + cell.error);
     } else {
       const ScenarioResult& res = cell.result;
@@ -699,7 +681,6 @@ Table SweepResult::table(bool timing) const {
       const bool stages = timing && cell.telemetry;
       row.push_back(stages ? Table::fmt(cell.t_stage, 4) : "-");
       row.push_back(stages ? Table::fmt(cell.t_crc, 4) : "-");
-      row.push_back(stages ? Table::fmt(cell.t_comp, 4) : "-");
       row.push_back(stages ? Table::fmt(cell.t_io, 4) : "-");
       row.push_back(stages ? Table::fmt(cell.t_drain, 4) : "-");
       row.push_back(stages ? Table::fmt(cell.t_kernel, 4) : "-");

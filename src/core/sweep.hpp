@@ -123,7 +123,6 @@ struct SweepCellResult {
   bool telemetry = false;
   double t_stage = 0.0;
   double t_crc = 0.0;
-  double t_comp = 0.0;  ///< Per-chunk compression (ckpt/compress), zero for none.
   double t_io = 0.0;
   double t_drain = 0.0;
   double t_kernel = 0.0;

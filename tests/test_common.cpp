@@ -256,6 +256,19 @@ TEST(Options, MaybePrintHelpOnlyWhenRequested) {
   EXPECT_FALSE(without.maybe_print_help("prog"));
 }
 
+TEST(Options, UndocumentedKeysNamesWhatNoDocRegistered) {
+  const char* argv[] = {"prog", "--n=128", "--retired=1", "--help", "--quik"};
+  Options o(5, const_cast<char**>(argv));
+  o.doc("n", "problem size").doc("quick", "CI-sized run");
+  EXPECT_EQ(o.undocumented_keys(), (std::vector<std::string>{"quik", "retired"}));
+  EXPECT_TRUE(o.documented("n"));
+  EXPECT_TRUE(o.documented("quick"));  // Documented though not passed.
+  EXPECT_TRUE(o.documented("help"));   // Built in.
+  EXPECT_FALSE(o.documented("quik"));
+  o.doc("quik", "now registered");
+  EXPECT_EQ(o.undocumented_keys(), std::vector<std::string>{"retired"});
+}
+
 TEST(Check, ThrowsWithExpression) {
   try {
     ADCC_CHECK(1 == 2, "math broke");

@@ -26,24 +26,24 @@ Table fixture_table() {
   Table t({"cell", "workload", "mode", "crash", "units", "seconds", "normalized",
            "overhead", "lost", "partial", "corrected", "torn", "salvaged", "overlap",
            "detect/unit", "resume/unit", "victims", "epochs_rb", "replayed", "halo_kb",
-           "flips", "detected", "detect_lat", "miscorr", "t_stage", "t_crc", "t_comp",
-           "t_io", "t_drain", "t_kernel", "t_spmv", "t_gemm", "t_xs", "status"});
+           "flips", "detected", "detect_lat", "miscorr", "t_stage", "t_crc", "t_io",
+           "t_drain", "t_kernel", "t_spmv", "t_gemm", "t_xs", "status"});
   // A timed cell with a detected-and-rolled-back flip.
   t.add_row({"0", "cg", "alg-nvm", "flip:7", "6", Table::fmt(0.0123, 4),
              Table::fmt(1.08, 3), Table::pct(0.082), "1", "1", "0", "0", "0",
              Table::fmt(0.0, 3), Table::fmt(0.4, 3), Table::fmt(1.1, 3), "0", "0", "0",
-             "0", "1", "1", "1", "0", Table::fmt(0.002, 3), "-", "-", "-", "-",
+             "0", "1", "1", "1", "0", Table::fmt(0.002, 3), "-", "-", "-",
              Table::fmt(0.009, 3), Table::fmt(0.007, 3), "-", "-", "ok"});
   // A --no_timing cell: every timing-derived column is the blank marker, the
   // undetected flip keeps detect_lat blank too.
   t.add_row({"1", "mm", "ckpt-nvm", "flip:7", "4", "-", "-", "-", "0", "0", "0", "0",
              "0", "-", "-", "-", "0", "0", "0", "12", "1", "0", "-", "0", "-", "-",
-             "-", "-", "-", "-", "-", "-", "-", "ok"});
-  // An ERROR cell: 29 blank metric columns, then a status message exercising
+             "-", "-", "-", "-", "-", "-", "ok"});
+  // An ERROR cell: 28 blank metric columns, then a status message exercising
   // the CSV quote/comma escaping rules.
   t.add_row({"2", "mc", "pmem-tx", "step:2", "-", "-", "-", "-", "-", "-", "-", "-",
              "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-",
-             "-", "-", "-", "-", "-", "-", "-",
+             "-", "-", "-", "-", "-", "-",
              "ERROR: malformed crash plan 'boom', axis \"crash\""});
   return t;
 }
