@@ -106,23 +106,14 @@ int main(int argc, char** argv) try {
            "asynchronous checkpointing: save stages + drains in the background, the "
            "next unit overlaps the device window (sweepable axis)",
            "off")
-      .doc("ckpt_async_depth",
-           "staging-arena ring depth for --ckpt_async: saves admit until N "
-           "checkpoints are in flight before blocking (sweepable axis)",
-           "1")
-      .doc("ckpt_dirty_commit",
-           "mostly-clean images rewrite only dirty chunks in place, epoch-"
-           "stamping the clean ones; restore salvages torn-consistent slots "
-           "(sweepable axis; rejected with --shards > 1)",
-           "off")
       .doc("disk_mbps", "ckpt-disk device model bandwidth, MB/s (0 = real device)", "150")
       .doc("shards",
            "cg/mm/mc: split the run across N in-process shards with coordinated "
            "global snapshots (sweepable axis; 1 = single-rank engine)",
            "1")
       .doc("shard_stagger",
-           "rotate the per-epoch shard save order so drains stagger across the "
-           "device window (sweepable axis)",
+           "rotate the shard save order every global commit so drains stagger "
+           "across the device window (sweepable axis)",
            "off")
       .doc("seed", "problem seed");
   if (opts.maybe_print_help("adccbench")) return 0;

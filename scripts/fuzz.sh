@@ -110,23 +110,19 @@ for workload in $WORKLOADS; do
   # skip this deck): a mid-unit fuzz crash landing while a drain may be in
   # flight (the abort-the-drain-then-classify-the-torn-slot path), a crash
   # inside the background drain itself (ckpt_drain — surfaces at the join),
-  # a crash between stage and drain start (ckpt_stage — must leave the
-  # previous checkpoint untouched), and a crash at ring admission
-  # (ring_stage — fires once per save when the staging ring is deeper than
-  # one). The deck arms the whole write path: a depth-2 staging ring and
-  # dirty-chunk commit with its salvage-capable restore. All sites are
-  # crash-free no-ops outside checkpoint modes, which must also stay green.
+  # and a crash between stage and drain start (ckpt_stage — must leave the
+  # previous checkpoint untouched). All sites are crash-free no-ops outside
+  # checkpoint modes, which must also stay green.
   if [[ "$workload" != *-sim ]]; then
     for ((seed = START; seed < START + SEEDS; ++seed)); do
-      crash="fuzz:$seed+point:ckpt_drain:$((seed % 7 + 1))+point:ckpt_stage:$((seed % 5 + 1))+point:ring_stage:$((seed % 3 + 1))"
+      crash="fuzz:$seed+point:ckpt_drain:$((seed % 7 + 1))+point:ckpt_stage:$((seed % 5 + 1))"
       echo "fuzz: workload=$workload seed=$seed (ckpt_async)"
       rc=0
-      "$BIN" --workload="$workload" --mode="$mode" --ckpt_async=1 \
-        --ckpt_async_depth=2 --ckpt_dirty_commit=1 --sweep="crash=$crash" \
+      "$BIN" --workload="$workload" --mode="$mode" --ckpt_async=1 --sweep="crash=$crash" \
         --sweep_jobs="$JOBS" --no_baseline $QUICK >/dev/null || rc=$?
       if [[ "$rc" -ne 0 ]]; then
         echo "fuzz.sh: FAILED at workload=$workload seed=$seed ckpt_async=1 (exit $rc); reproduce with:" >&2
-        echo "  $BIN --workload=$workload --mode=$mode --ckpt_async=1 --ckpt_async_depth=2 --ckpt_dirty_commit=1 --sweep='crash=$crash' --no_baseline $QUICK" >&2
+        echo "  $BIN --workload=$workload --mode=$mode --ckpt_async=1 --sweep='crash=$crash' --no_baseline $QUICK" >&2
         exit "$rc"
       fi
       runs=$((runs + 1))

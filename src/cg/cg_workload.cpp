@@ -1,5 +1,6 @@
 #include "cg/cg_workload.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "cg/cg_cc.hpp"
@@ -70,6 +71,8 @@ void CgWorkload::prepare(core::ModeEnv& env) {
   env_ = &env;
   done_ = 0;
   crashed_done_ = 0;
+  scan_limit_ = SIZE_MAX;
+  restart_row_.reset();
   fault_.reset_counter();
   // Drop any previous mode's checkpoint set: its backend reference dies with
   // the old env, and a stale async_pending flag must not leak into this run.
@@ -154,6 +157,12 @@ bool CgWorkload::run_step() {
   // fail-stop and crash-free runs pay nothing.
   if (engine_ == core::DurabilityKind::kAlgorithm && fault_.flip_active() &&
       done_ >= 1 && !alg_rows_consistent(done_)) {
+    // A recovery only ever follows the one-shot flip, and re-execution from
+    // row j reads nothing below row j + 1: a detection after restarting from
+    // j means that row passed the invariants yet carries the corruption
+    // (within tolerance there, amplified by the iterations since), so the
+    // next recovery must start below it.
+    if (restart_row_) scan_limit_ = std::min(scan_limit_, *restart_row_);
     throw core::SilentFaultDetected("cg:invariant", done_ + 1, fault_.access_count());
   }
   if (done_ >= cfg_.iters) return false;
@@ -313,22 +322,24 @@ core::WorkloadRecovery CgWorkload::recover() {
     case core::DurabilityKind::kAlgorithm: {
       // Scan j = durable counter … 0 for the first row pair passing the
       // Eq. 1/2 invariants; restart from iteration j + 1 (Fig. 2 recovery).
+      // Rows at or above scan_limit_ already led back to a detection.
       const auto durable = static_cast<std::size_t>(counter_[0]);
       bool found = false;
-      for (std::size_t j = durable;; --j) {
+      for (std::size_t j = std::min(durable + 1, scan_limit_); j-- > 0;) {
         ++rec.candidates_checked;
         if (alg_rows_consistent(j)) {
           done_ = j;
           found = true;
           break;
         }
-        if (j == 0) break;
       }
       if (!found) {
         alg_write_initial_rows();
         done_ = 0;
+        restart_row_.reset();
       } else {
         alg_rho_ = linalg::dot(crow(hr_, done_ + 1), crow(hr_, done_ + 1));
+        restart_row_ = done_;
       }
       break;
     }

@@ -14,6 +14,7 @@
 //                  invariants (cg_rows_consistent) against the durable rows.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -107,6 +108,12 @@ class CgWorkload final : public core::Workload {
   std::span<double> hp_, hq_, hr_, hz_;
   std::span<std::int64_t> counter_;
   double alg_rho_ = 0.0;
+  /// Recovery scans only rows j < scan_limit_: a restart row whose
+  /// deterministic re-execution reproduced the online detection is excluded,
+  /// with every row above it.
+  std::size_t scan_limit_ = SIZE_MAX;
+  /// The row the last recovery restarted from (nullopt: fresh initial rows).
+  std::optional<std::size_t> restart_row_;
 };
 
 /// Arena bytes the alg-* engines need for an n-row system at `iters`.

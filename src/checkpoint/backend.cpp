@@ -1,6 +1,11 @@
 #include "checkpoint/backend.hpp"
 
+#include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "checkpoint/write_pipeline.hpp"
 #include "common/check.hpp"
@@ -14,7 +19,7 @@ std::string slot_str(int slot) { return "slot " + std::to_string(slot); }
 
 /// Internal unwind used to stop a cancelled drain: abort_drain() flips the
 /// cancel flag, the drain's per-chunk check throws this, the WritePipeline
-/// aborts the remaining chunks, and the ring worker swallows it (a cancelled
+/// aborts the remaining chunks, and the drain worker swallows it (a cancelled
 /// drain is the emulated power failure, not an error).
 struct DrainCancelled {};
 
@@ -46,189 +51,129 @@ Backend::Backend() = default;
 
 Backend::~Backend() { abort_drain(); }
 
-// ---- Async drain ring ----------------------------------------------------
+// ---- Async drain ---------------------------------------------------------
 
-/// One queued asynchronous save, exactly the save_async() arguments plus the
-/// caller's telemetry binding (each job re-binds on the worker).
-struct Backend::DrainJob {
-  int slot = 0;
-  std::uint64_t version = 0;
-  std::vector<ObjectView> objs;
-  ChunkHooks hooks;
-  std::shared_ptr<const ChunkLayout> layout;
-  std::shared_ptr<const void> keepalive;
-  core::TelemetryBinding binding;
-};
+/// One persistent worker and at most one save in flight: the job handed over
+/// by save_async(), then its outcome until wait_drain() consumes it. A worker
+/// outlives its saves (per-unit saves would otherwise pay a thread spawn
+/// each); abort_drain() joins it.
+struct Backend::Drain {
+  /// The save_async() arguments plus the caller's telemetry binding (the
+  /// worker re-binds it so the drain's stage scopes merge into the owning
+  /// cell).
+  struct Job {
+    int slot = 0;
+    std::uint64_t version = 0;
+    std::vector<ObjectView> objs;
+    ChunkHooks hooks;
+    std::shared_ptr<const ChunkLayout> layout;
+    std::shared_ptr<const void> keepalive;
+    core::TelemetryBinding binding;
+  };
 
-/// The drain ring: a FIFO job queue, one worker thread, and the outcomes
-/// awaiting consumption. Jobs run strictly in order — save K fully commits
-/// before save K+1 touches media — so crash semantics match back-to-back
-/// synchronous saves with at most one save mid-flight on the medium.
-struct Backend::Ring {
-  mutable std::mutex mu;
+  std::mutex mu;
   std::condition_variable cv;
-  std::deque<DrainJob> queue;
-  std::deque<DrainOutcome> done;
-  bool running = false;  ///< A job is executing right now.
-  bool failed = false;   ///< A job failed; later jobs skip until acknowledged.
+  std::optional<Job> job;               ///< Handed over, not yet picked up.
+  bool busy = false;                    ///< A save is in flight (job or running).
+  std::optional<SaveReceipt> receipt;   ///< Engaged: the save committed.
+  std::exception_ptr error;             ///< Engaged: the save failed mid-flight.
   bool stop = false;
-  std::atomic<bool> cancel{false};  ///< Cancels the executing job's chunks.
+  std::atomic<bool> cancel{false};      ///< Cancels the running save's chunks.
   std::thread worker;
 };
 
-void Backend::ensure_worker() {
-  if (!ring_) ring_ = std::make_unique<Ring>();
-  Ring& r = *ring_;
-  if (r.worker.joinable()) return;
-  r.stop = false;
-  r.cancel.store(false, std::memory_order_relaxed);
-  r.worker = std::thread([this] { drain_worker(); });
-}
-
 void Backend::drain_worker() {
-  Ring& r = *ring_;
-  std::unique_lock<std::mutex> lock(r.mu);
+  Drain& d = *drain_;
+  std::unique_lock<std::mutex> lock(d.mu);
   for (;;) {
-    r.cv.wait(lock, [&] { return r.stop || !r.queue.empty(); });
-    if (r.stop) return;
-    DrainJob job = std::move(r.queue.front());
-    r.queue.pop_front();
-    if (r.failed) {
-      // A job enqueued after the failure landed (the enqueuer had not yet
-      // consumed the error): it must not touch media either. Stop-at-first-
-      // failure holds until the caller acknowledges the failed outcome.
-      DrainOutcome skip;
-      skip.slot = job.slot;
-      skip.version = job.version;
-      skip.skipped = true;
-      r.done.push_back(std::move(skip));
-      r.cv.notify_all();
-      continue;
-    }
-    r.running = true;
+    d.cv.wait(lock, [&] { return d.stop || d.job.has_value(); });
+    if (d.stop) return;
+    std::optional<Drain::Job> job = std::move(d.job);
+    d.job.reset();
     lock.unlock();
 
-    DrainOutcome out;
-    out.slot = job.slot;
-    out.version = job.version;
-    bool failed = false;
+    std::optional<SaveReceipt> receipt;
+    std::exception_ptr error;
     {
-      // The job inherits its enqueuer's telemetry binding under a "/drain"
+      // The job inherits its caller's telemetry binding under a "/drain"
       // track so its stage scopes merge into the owning cell and get their
       // own trace timeline; ckpt/drain is the drain's wall time (it overlaps
       // the compute it hides — that overlap is the point of async).
-      const core::TelemetryBind bind(job.binding, "/drain");
+      const core::TelemetryBind bind(job->binding, "/drain");
       const core::StageTimer timer("ckpt/drain");
       try {
-        out.receipt = do_save(job.slot, job.version, job.objs, job.hooks,
-                              job.layout ? job.layout.get() : nullptr, kPointChunkDrained,
-                              &r.cancel);
+        receipt = do_save(job->slot, job->version, job->objs, job->hooks, job->layout.get(),
+                          kPointChunkDrained, &d.cancel);
       } catch (const DrainCancelled&) {
         // The emulated power failure: neither a receipt nor an error — the
         // chunks already persisted are the torn evidence recovery will probe.
       } catch (...) {
-        out.error = std::current_exception();
-        failed = true;
+        error = std::current_exception();
       }
     }
+    // Release the staging arena BEFORE publishing: once the caller sees the
+    // outcome, its arena is free again and the next save reuses it.
+    job.reset();
 
     lock.lock();
-    r.running = false;
-    r.done.push_back(std::move(out));
-    if (failed) {
-      // The ring stops at the first failure: the jobs queued behind it never
-      // ran (their slots are untouched) — surface them as skipped outcomes so
-      // the caller can roll its version bookkeeping back precisely. The
-      // `failed` latch extends the same treatment to jobs that arrive after
-      // this conversion, until acknowledge_drain_failure().
-      r.failed = true;
-      while (!r.queue.empty()) {
-        DrainOutcome skip;
-        skip.slot = r.queue.front().slot;
-        skip.version = r.queue.front().version;
-        skip.skipped = true;
-        r.queue.pop_front();
-        r.done.push_back(std::move(skip));
-      }
-    }
-    r.cv.notify_all();
+    d.receipt = std::move(receipt);
+    d.error = error;
+    d.busy = false;
+    d.cv.notify_all();
   }
 }
 
 void Backend::save_async(int slot, std::uint64_t version, std::vector<ObjectView> objs,
                          ChunkHooks hooks, std::shared_ptr<const ChunkLayout> layout,
                          std::shared_ptr<const void> keepalive) {
-  ensure_worker();
-  DrainJob job;
-  job.slot = slot;
-  job.version = version;
-  job.objs = std::move(objs);
-  job.hooks = std::move(hooks);
-  job.layout = std::move(layout);
-  job.keepalive = std::move(keepalive);
-  job.binding = core::Telemetry::current_binding();
+  if (!drain_) drain_ = std::make_unique<Drain>();
+  Drain& d = *drain_;
+  if (!d.worker.joinable()) d.worker = std::thread([this] { drain_worker(); });
+  Drain::Job job{slot, version, std::move(objs), std::move(hooks), std::move(layout),
+                 std::move(keepalive), core::Telemetry::current_binding()};
   {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    ring_->queue.push_back(std::move(job));
+    std::lock_guard<std::mutex> lock(d.mu);
+    ADCC_CHECK(!d.busy && !d.receipt && !d.error,
+               "one asynchronous save in flight: wait for the previous one first");
+    d.job = std::move(job);
+    d.busy = true;
   }
-  ring_->cv.notify_all();
+  d.cv.notify_all();
 }
 
-std::size_t Backend::drains_pending() const {
-  if (!ring_) return 0;
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  return ring_->queue.size() + (ring_->running ? 1 : 0) + ring_->done.size();
-}
-
-DrainOutcome Backend::take_drain_outcome() {
-  ADCC_CHECK(drains_pending() > 0, "no drain outcome to take");
-  Ring& r = *ring_;
-  std::unique_lock<std::mutex> lock(r.mu);
-  r.cv.wait(lock, [&] { return !r.done.empty(); });
-  DrainOutcome out = std::move(r.done.front());
-  r.done.pop_front();
-  return out;
-}
-
-void Backend::acknowledge_drain_failure() {
-  if (!ring_) return;
-  std::lock_guard<std::mutex> lock(ring_->mu);
-  ring_->failed = false;
-}
-
-std::optional<SaveReceipt> Backend::join_drain() {
-  std::optional<SaveReceipt> last;
-  std::exception_ptr first_error;
-  while (drains_pending() > 0) {
-    DrainOutcome out = take_drain_outcome();
-    if (out.error && !first_error) first_error = out.error;
-    if (out.receipt) last = std::move(out.receipt);
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  return last;
+SaveReceipt Backend::wait_drain() {
+  ADCC_CHECK(drain_ != nullptr, "no asynchronous save to wait for");
+  Drain& d = *drain_;
+  std::unique_lock<std::mutex> lock(d.mu);
+  d.cv.wait(lock, [&] { return !d.busy; });
+  ADCC_CHECK(d.receipt || d.error, "no asynchronous save to wait for");
+  if (d.error) std::rethrow_exception(std::exchange(d.error, nullptr));
+  SaveReceipt receipt = *d.receipt;
+  d.receipt.reset();
+  return receipt;
 }
 
 void Backend::abort_drain() noexcept {
-  if (!ring_) return;
-  Ring& r = *ring_;
+  if (!drain_) return;
+  Drain& d = *drain_;
   {
-    std::lock_guard<std::mutex> lock(r.mu);
-    // Queued jobs die unstarted (their slots were never touched); the
-    // executing job is cancelled cooperatively between chunks. A job that
-    // finished (or died) before the cancel landed is equally swallowed: the
-    // caller declared a power failure, so the committed-or-torn distinction
-    // is left to the marker and recovery's probe, as on real hardware.
-    r.queue.clear();
-    r.stop = true;
-    r.cancel.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(d.mu);
+    // A handed-over job that never started dies untouched; the running save
+    // is cancelled cooperatively between chunks. A save that finished (or
+    // died) before the cancel landed is equally swallowed: the caller
+    // declared a power failure, so the committed-or-torn distinction is left
+    // to the marker and recovery's probe, as on real hardware.
+    d.job.reset();
+    d.stop = true;
+    d.cancel.store(true, std::memory_order_relaxed);
   }
-  r.cv.notify_all();
-  if (r.worker.joinable()) r.worker.join();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.done.clear();
-  r.failed = false;
-  r.stop = false;
-  r.cancel.store(false, std::memory_order_relaxed);
+  d.cv.notify_all();
+  if (d.worker.joinable()) d.worker.join();
+  d.busy = false;
+  d.receipt.reset();
+  d.error = nullptr;
+  d.stop = false;
+  d.cancel.store(false, std::memory_order_relaxed);
 }
 
 // ---- Save ----------------------------------------------------------------
@@ -236,7 +181,6 @@ void Backend::abort_drain() noexcept {
 void Backend::configure_chunks(const ChunkConfig& cfg) {
   ADCC_CHECK(cfg.chunk_bytes > 0, "chunk size must be positive");
   ADCC_CHECK(cfg.threads >= 1, "checkpoint pipeline needs at least one worker");
-  ADCC_CHECK(cfg.async_depth >= 1, "async ring depth must be at least 1");
   chunks_ = cfg;
 }
 
@@ -248,7 +192,7 @@ SaveReceipt Backend::save(int slot, std::uint64_t version, std::span<const Objec
 SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const ObjectView> objs,
                              const ChunkHooks& hooks, const ChunkLayout* memo,
                              const char* point_name, const std::atomic<bool>* cancel) {
-  ADCC_CHECK(slot >= 0 && slot < slot_count(), "checkpoint slot out of range");
+  ADCC_CHECK(slot >= 0 && slot < kSlotCount, "checkpoint slot out of range");
   ChunkLayout built;
   if (memo == nullptr) {
     built = ChunkLayout::make(objs, chunks_.chunk_bytes);
@@ -256,10 +200,6 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
   }
   const ChunkLayout& layout = *memo;
   begin_slot(slot, layout.image_bytes);
-
-  SaveReceipt receipt;
-  receipt.chunks.assign(layout.chunks.size(), SaveReceipt::Chunk::kUnselected);
-  receipt.crcs.assign(layout.chunks.size(), 0);
 
   auto* cache = hooks.crc_cache.get();
   ADCC_CHECK(cache == nullptr || cache->size() == layout.chunks.size(),
@@ -274,13 +214,14 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     hooks.point(name);
   };
 
+  // Per chunk: 1 = written, 0 = clean (skipped). Workers touch disjoint entries.
+  std::vector<unsigned char> written(layout.chunks.size(), 0);
   WritePipeline pipeline(chunks_.threads);
   pipeline.run(layout.chunks.size(), [&](std::size_t i, ChunkScratch& scratch) {
     const ChunkLayout::Chunk& c = layout.chunks[i];
     // Cancelled drains stop between chunks: the chunks already persisted stay
     // persisted (the torn image a power failure leaves), nothing else lands.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) throw DrainCancelled{};
-    if (hooks.select && !hooks.select(i)) return;
     scratch.resize(sizeof(ChunkHeader) + c.payload_bytes);
     const auto* src = static_cast<const std::byte*>(objs[c.object].data) + c.object_offset;
     {
@@ -292,33 +233,7 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
       const core::StageTimer timer("ckpt/crc");
       crc = crc32(scratch.data() + sizeof(ChunkHeader), c.payload_bytes);
     }
-    receipt.crcs[i] = crc;
-    const bool clean = cache != nullptr && (*cache)[i].has_value() && *(*cache)[i] == crc;
-    if (clean && !hooks.in_place) {
-      receipt.chunks[i] = SaveReceipt::Chunk::kClean;
-      return;
-    }
-    if (clean && hooks.in_place) {
-      // Dirty-chunk commit: the payload on media already matches — advance
-      // only the header's epoch stamp so the copy stays provably valid for
-      // this version (the salvage coherence interval). An on-media header
-      // that fails validation falls through to a full rewrite.
-      ChunkHeader h;
-      if (read_span(slot, c.image_offset, &h, sizeof(h)) == sizeof(h) &&
-          h.magic == kChunkMagic && h.header_crc == chunk_header_crc(h) &&
-          h.object == c.object && h.index == c.index &&
-          h.payload_bytes == c.payload_bytes && h.payload_crc == crc) {
-        h.epoch = version;
-        h.header_crc = chunk_header_crc(h);
-        {
-          const core::StageTimer timer("ckpt/queue");
-          write_span(slot, c.image_offset, &h, sizeof(h));
-        }
-        receipt.chunks[i] = SaveReceipt::Chunk::kStamped;
-        fire_point(point_name);
-        return;
-      }
-    }
+    if (cache != nullptr && (*cache)[i] == crc) return;  // Clean: the slot holds it.
 
     ChunkHeader h;
     h.magic = kChunkMagic;
@@ -326,7 +241,6 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     h.index = c.index;
     h.payload_bytes = c.payload_bytes;
     h.version = version;
-    h.epoch = version;
     h.payload_crc = crc;
     h.header_crc = chunk_header_crc(h);
     std::memcpy(scratch.data(), &h, sizeof(h));
@@ -336,7 +250,7 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
       const core::StageTimer timer("ckpt/queue");
       write_span(slot, c.image_offset, scratch.data(), scratch.size());
     }
-    receipt.chunks[i] = SaveReceipt::Chunk::kWritten;
+    written[i] = 1;
     // Cache update strictly AFTER the media write: a crash between the two
     // leaves a stale (pessimistic) entry, never an optimistic one that would
     // let a later save skip a chunk the media does not actually hold.
@@ -344,20 +258,13 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
     fire_point(point_name);
   });
 
+  SaveReceipt receipt;
   for (std::size_t i = 0; i < layout.chunks.size(); ++i) {
-    switch (receipt.chunks[i]) {
-      case SaveReceipt::Chunk::kWritten:
-        ++receipt.written;
-        receipt.payload_bytes += layout.chunks[i].payload_bytes;
-        break;
-      case SaveReceipt::Chunk::kClean:
-        ++receipt.skipped;
-        break;
-      case SaveReceipt::Chunk::kStamped:
-        ++receipt.stamped;
-        break;
-      case SaveReceipt::Chunk::kUnselected:
-        break;
+    if (written[i] != 0) {
+      ++receipt.written;
+      receipt.payload_bytes += layout.chunks[i].payload_bytes;
+    } else {
+      ++receipt.skipped;
     }
   }
 
@@ -377,14 +284,12 @@ SaveReceipt Backend::do_save(int slot, std::uint64_t version, std::span<const Ob
   if (core::Telemetry* tel = core::Telemetry::current()) {
     tel->count("ckpt/chunks_written", receipt.written);
     tel->count("ckpt/chunks_skipped", receipt.skipped);
-    if (hooks.in_place) tel->count("ckpt/chunks_stamped", receipt.stamped);
   }
 
   ++stats_.saves;
   stats_.bytes_saved += receipt.payload_bytes;
   stats_.chunks_written += receipt.written;
   stats_.chunks_skipped += receipt.skipped;
-  stats_.chunks_stamped += receipt.stamped;
   return receipt;
 }
 
@@ -405,7 +310,7 @@ std::uint64_t Backend::load_salvage(int slot, std::uint64_t want,
 std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
                                const ChunkHooks& hooks,
                                std::optional<std::uint64_t> salvage) {
-  ADCC_CHECK(slot >= 0 && slot < slot_count(), "checkpoint slot out of range");
+  ADCC_CHECK(slot >= 0 && slot < kSlotCount, "checkpoint slot out of range");
 
   SlotHeader h;
   if (read_span(slot, 0, &h, sizeof(h)) != sizeof(h) || h.magic != kSlotMagic ||
@@ -453,10 +358,9 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
       throw TornCheckpoint(where + " has a torn header");
     }
     if (salvage.has_value()) {
-      // Salvage accepts any copy whose coherence interval covers the target:
-      // written at <= want, stamped valid through >= want.
-      if (ch.version > *salvage || ch.epoch < *salvage) {
-        throw TornCheckpoint(where + " does not cover the salvage version");
+      // Salvage accepts only the interrupted save's own chunks.
+      if (ch.version != *salvage) {
+        throw TornCheckpoint(where + " was not written by the salvage version");
       }
     } else if (ch.version > h.version) {
       throw TornCheckpoint(where + " belongs to an uncommitted newer save (torn write)");
@@ -483,9 +387,8 @@ std::uint64_t Backend::do_load(int slot, std::span<const ObjectView> objs,
   return salvage.value_or(h.version);
 }
 
-TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs,
-                              std::optional<std::uint64_t> base_override) {
-  ADCC_CHECK(slot >= 0 && slot < slot_count(), "checkpoint slot out of range");
+TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs) {
+  ADCC_CHECK(slot >= 0 && slot < kSlotCount, "checkpoint slot out of range");
   TornProbe probe;
 
   // The slot's own committed version is the baseline; an unreadable or absent
@@ -504,14 +407,10 @@ TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs,
       ++probe.torn_chunks;  // A half-written slot header is torn evidence itself.
     }
   }
-  probe.base = base;
-  // Dirty-commit restores probe the marker slot itself: its header may belong
-  // to the interrupted save, so torn evidence counts against the marker.
-  if (base_override.has_value()) base = *base_override;
 
   const ChunkLayout layout = ChunkLayout::make(objs, layout_chunk_bytes);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;
-  intervals.reserve(layout.chunks.size());
+  std::vector<std::uint64_t> versions;
+  versions.reserve(layout.chunks.size());
   bool all_valid = true;
   for (const ChunkLayout::Chunk& c : layout.chunks) {
     ChunkHeader ch;
@@ -525,32 +424,26 @@ TornProbe Backend::probe_torn(int slot, std::span<const ObjectView> objs,
       continue;
     }
     const bool header_ok = ch.header_crc == chunk_header_crc(ch) && ch.object == c.object &&
-                           ch.index == c.index && ch.payload_bytes == c.payload_bytes &&
-                           ch.epoch >= ch.version;
+                           ch.index == c.index && ch.payload_bytes == c.payload_bytes;
     if (!header_ok || ch.version > base) ++probe.torn_chunks;
     if (header_ok) {
-      intervals.emplace_back(ch.version, ch.epoch);
+      versions.push_back(ch.version);
     } else {
       all_valid = false;
     }
   }
 
-  // Salvage candidacy: the newest epoch any chunk reached, reachable only if
-  // EVERY chunk's coherence interval covers it (the interrupted save finished
-  // its chunk writes; payload CRCs are verified by load_salvage).
-  all_valid = all_valid && intervals.size() == layout.chunks.size();
-  if (all_valid && !intervals.empty()) {
-    std::uint64_t target = 0;
-    for (const auto& [version, epoch] : intervals) target = std::max(target, epoch);
-    probe.salvage_version = target;
-    probe.salvage_ready = true;
-    for (const auto& [version, epoch] : intervals) {
-      if (version > target || epoch < target) probe.salvage_ready = false;
-      if (version == target) ++probe.salvage_chunks;
-    }
-    if (!probe.salvage_ready) {
-      probe.salvage_version = 0;
-      probe.salvage_chunks = 0;
+  // Salvage candidacy: the newest version any chunk carries, reachable only
+  // if EVERY chunk holds a valid header at exactly that version (the
+  // interrupted save finished its chunk writes; payload CRCs are verified by
+  // load_salvage).
+  if (all_valid && !versions.empty() && versions.size() == layout.chunks.size()) {
+    const std::uint64_t target = *std::max_element(versions.begin(), versions.end());
+    if (std::all_of(versions.begin(), versions.end(),
+                    [target](std::uint64_t v) { return v == target; })) {
+      probe.salvage_version = target;
+      probe.salvage_chunks = versions.size();
+      probe.salvage_ready = true;
     }
   }
   return probe;

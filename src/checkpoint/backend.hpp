@@ -15,30 +15,25 @@
 // medium implements only the span primitives below — "persist this chunk span", "read this span",
 // "commit the (slot, version) marker".
 //
-// All backends remain double-buffer safe: CheckpointSet alternates slots and
-// the version marker is committed last, so a crash mid-checkpoint leaves the
-// previous checkpoint intact — and, new with the chunk format, the *torn*
-// slot is detectable (mixed chunk versions / CRC mismatches) instead of being
-// silent garbage. A torn slot that is in fact COMPLETE
-// (every chunk CRC-valid and epoch-coherent at the interrupted save's
-// version — the crash landed between the last chunk and the commit) is also
-// *salvageable*: load_salvage() recovers the interrupted save instead of
-// falling back a full slot.
+// All backends are double-buffer safe: CheckpointSet alternates the two slots
+// and the version marker is committed last, so a crash mid-checkpoint leaves
+// the previous checkpoint intact — and the *torn* slot is detectable (chunks
+// newer than their slot header, CRC mismatches) instead of being silent
+// garbage. A torn slot that is in fact COMPLETE (every chunk header valid at
+// one version newer than the marker — the crash landed between the last chunk
+// and the commit) is also *salvageable*: load_salvage() recovers the
+// interrupted save instead of falling back a full slot.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -75,21 +70,16 @@ inline constexpr const char* kPointChunkLoaded = "ckpt_restore";
 /// Asynchronous-checkpoint crash sites: per chunk snapshotted into the staging
 /// arena (save_async's synchronous prologue, point:ckpt_stage[:K]) and per
 /// chunk persisted by the background drain thread (point:ckpt_drain[:K]). A
-/// drain-thread crash is captured and rethrown at the join (wait_durable / the
-/// next save), leaving the slot torn and the marker uncommitted — exactly the
-/// evidence a synchronous crash-mid-checkpoint leaves.
+/// drain-thread crash is captured and rethrown at the join (wait_drain),
+/// leaving the slot torn and the marker uncommitted — exactly the evidence a
+/// synchronous crash-mid-checkpoint leaves.
 inline constexpr const char* kPointChunkStaged = "ckpt_stage";
 inline constexpr const char* kPointChunkDrained = "ckpt_drain";
 
-/// Per save admitted into a ring of staging arenas deeper than one
-/// (point:ring_stage[:K], fired by CheckpointSet::save_async when
-/// --ckpt_async_depth > 1): a crash here loses the newly staged image while
-/// older ring entries are still draining — the burst-crash window unique to
-/// depth > 1.
-inline constexpr const char* kPointRingStaged = "ring_stage";
+/// Double buffering: every backend holds exactly two slots.
+inline constexpr int kSlotCount = 2;
 
-/// Optional per-chunk callbacks (and per-save options) threaded through
-/// save()/load().
+/// Optional per-chunk callbacks threaded through save()/load().
 struct ChunkHooks {
   /// Fired once per chunk persisted (save, kPointChunkSaved) or verified and
   /// copied back (load, kPointChunkLoaded). May throw — the fault surface's
@@ -97,51 +87,33 @@ struct ChunkHooks {
   /// leaves a torn slot with the marker uncommitted. Calls are serialized
   /// across pipeline workers.
   std::function<void(const char*)> point;
-  /// save() only: restrict the save to a chunk subset (dirty hints).
-  /// Unselected chunks are neither checksummed nor written.
-  std::function<bool(std::size_t chunk)> select;
   /// save() only: the caller's per-slot payload-CRC cache (nullopt = unknown).
-  /// The engine both CONSULTS it (a selected chunk whose fresh CRC matches is
-  /// clean — skipped, or epoch-stamped under in_place) and UPDATES it in
-  /// place as chunks land on media, so queued ring drains always filter
-  /// against the true slot state, not a stale snapshot. Entries are touched
-  /// only from the save's executing threads (disjoint per chunk); FIFO drain
-  /// order serializes cross-save access.
+  /// The engine both CONSULTS it (a chunk whose fresh CRC matches is clean
+  /// and skipped) and UPDATES it in place as chunks land on media. Entries
+  /// are touched only from the save's executing threads (disjoint per chunk).
   std::shared_ptr<std::vector<std::optional<std::uint32_t>>> crc_cache;
-  /// save() only: dirty-chunk double-buffered commit (--ckpt_dirty_commit).
-  /// The save targets the slot holding the committed image; clean chunks get
-  /// a header-only epoch stamp instead of being skipped, dirty chunks are
-  /// rewritten in place, and the marker still commits last. A crash mid-save
-  /// tears the committed image — recovery salvages the interrupted save or
-  /// falls back to the (aged) other slot.
-  bool in_place = false;
 };
 
-/// What one save() did, chunk by chunk (CheckpointSet feeds its incremental
-/// stats from this; the CRC cache is updated in place via ChunkHooks).
+/// What one save() did (CheckpointSet feeds its incremental stats from this;
+/// the CRC cache is updated in place via ChunkHooks).
 struct SaveReceipt {
-  enum class Chunk : unsigned char { kUnselected, kClean, kWritten, kStamped };
-  std::vector<Chunk> chunks;
-  std::vector<std::uint32_t> crcs;  ///< Valid where chunks[i] != kUnselected.
   std::size_t written = 0;
-  std::size_t skipped = 0;          ///< Selected but unchanged (kClean).
-  std::size_t stamped = 0;          ///< Clean, epoch-stamped in place (in_place).
-  std::size_t payload_bytes = 0;    ///< Payload bytes of written chunks.
+  std::size_t skipped = 0;        ///< Unchanged under the CRC filter.
+  std::size_t payload_bytes = 0;  ///< Payload bytes of written chunks.
 };
 
 /// Result of the cheap torn-save classifier (chunk-header scan, no payloads).
 /// Besides counting torn evidence, the scan sizes up the salvage candidate:
-/// the newest epoch any chunk reached, and whether EVERY chunk holds a
-/// header-valid copy whose [version, epoch] interval covers it.
+/// the newest version any chunk header carries, and whether EVERY chunk holds
+/// a header-valid copy at exactly that version.
 struct TornProbe {
   std::size_t chunks_probed = 0;
   std::size_t torn_chunks = 0;  ///< Chunks of an interrupted newer save.
-  std::uint64_t base = 0;       ///< The slot's own committed header version.
-  std::uint64_t salvage_version = 0;  ///< Max epoch across valid chunk headers.
+  std::uint64_t salvage_version = 0;  ///< Newest version across valid chunk headers.
   std::size_t salvage_chunks = 0;     ///< Chunks written AT salvage_version.
-  /// True when every chunk's header is CRC-valid with
-  /// version <= salvage_version <= epoch — the interrupted save finished its
-  /// chunk writes, so load_salvage() can recover it (payload CRCs pending).
+  /// True when every chunk's header is CRC-valid at salvage_version — the
+  /// interrupted save finished its chunk writes, so load_salvage() can
+  /// recover it (payload CRCs pending).
   bool salvage_ready = false;
   bool torn() const { return torn_chunks > 0; }
 };
@@ -155,42 +127,28 @@ struct BackendStats {
   std::uint64_t bytes_loaded = 0;
   std::uint64_t chunks_written = 0;
   std::uint64_t chunks_skipped = 0;  ///< Dirty-filtered (clean) chunks.
-  std::uint64_t chunks_stamped = 0;  ///< Epoch-stamped in place (dirty commit).
   std::uint64_t chunks_loaded = 0;
-};
-
-/// One completed (or failed / skipped) entry of the asynchronous drain ring,
-/// consumed strictly FIFO via take_drain_outcome().
-struct DrainOutcome {
-  int slot = 0;
-  std::uint64_t version = 0;
-  std::optional<SaveReceipt> receipt;  ///< Engaged: the save committed.
-  std::exception_ptr error;            ///< Engaged: the save failed mid-flight.
-  /// True when the job never ran: it was queued behind a failed drain (its
-  /// slot is untouched) — the ring stops at the first failure.
-  bool skipped = false;
 };
 
 /// The chunk engine: non-virtual save/load/probe over the per-medium span
 /// primitives below. Owns layout, CRC32 integrity headers, the WritePipeline
-/// fan-out, dirty-chunk filtering, the commit order, and the asynchronous
-/// drain ring; a medium implements only "persist/read this span" and the
-/// (slot, version) marker.
+/// fan-out, dirty-chunk filtering, the commit order, and the one background
+/// drain of an asynchronous save; a medium implements only "persist/read this
+/// span" and the (slot, version) marker.
 class Backend {
  public:
-  /// Out of line (with the destructor): the drain ring member is an
-  /// incomplete type here.
+  /// Out of line (with the destructor): the drain state is an incomplete
+  /// type here.
   Backend();
   /// Backstop only: cancels and joins a still-pending drain so a subclass
   /// that forgot teardown_drain() hits abort_drain()'s bounded race instead
   /// of std::thread's guaranteed std::terminate. By this point the derived
   /// span primitives are already destroyed, so every subclass destructor must
-  /// STILL call teardown_drain() first (see below). Defined out of line: the
-  /// drain ring is an incomplete type here.
+  /// STILL call teardown_drain() first (see below).
   virtual ~Backend();
 
-  /// Chunk size / pipeline width / async ring for subsequent saves
-  /// (--ckpt_chunk_kb, --ckpt_threads, --ckpt_async, ...).
+  /// Chunk size / pipeline width / async dispatch for subsequent saves
+  /// (--ckpt_chunk_kb, --ckpt_threads, --ckpt_async).
   void configure_chunks(const ChunkConfig& cfg);
   const ChunkConfig& chunk_config() const { return chunks_; }
 
@@ -204,47 +162,27 @@ class Backend {
   SaveReceipt save(int slot, std::uint64_t version, std::span<const ObjectView> objs,
                    const ChunkHooks& hooks = {}, const ChunkLayout* layout = nullptr);
 
-  /// Enqueues an asynchronous save with the same contract as save(),
-  /// returning as soon as the job is queued on the drain ring. One worker
-  /// thread processes jobs strictly FIFO — save K fully commits (chunks,
-  /// header, marker) before save K+1 touches media, so crash semantics are
-  /// those of back-to-back synchronous saves with at most one save mid-flight
-  /// on the medium. `objs` must point at memory that is stable for the
-  /// drain's lifetime (CheckpointSet's staging arenas — `keepalive` owns it
-  /// so the caller may be destroyed mid-drain); hook callbacks fire on the
-  /// drain thread with kPointChunkSaved rewritten to kPointChunkDrained.
-  /// Callers bound the ring depth themselves by consuming outcomes.
+  /// Hands a save with the same contract as save() to the background drain
+  /// worker and returns at once. One save is in flight at a time: the caller
+  /// must consume the previous one (wait_drain / abort_drain) before the
+  /// next. `objs` must point at memory that is stable for the drain's
+  /// lifetime (CheckpointSet's staging arena — `keepalive` owns it so the
+  /// caller may be destroyed mid-drain); the drain drops `keepalive` before
+  /// it publishes its outcome. Hook callbacks fire on the drain thread with
+  /// kPointChunkSaved rewritten to kPointChunkDrained.
   void save_async(int slot, std::uint64_t version, std::vector<ObjectView> objs,
                   ChunkHooks hooks = {}, std::shared_ptr<const ChunkLayout> layout = nullptr,
                   std::shared_ptr<const void> keepalive = nullptr);
 
-  /// Queued + running + completed-but-unconsumed drain jobs.
-  std::size_t drains_pending() const;
+  /// Blocks until the save_async() in flight has committed and returns its
+  /// receipt, or rethrows its failure — with the slot torn and the marker
+  /// uncommitted. Must follow a save_async() that was not yet waited on.
+  SaveReceipt wait_drain();
 
-  /// True while any asynchronous save is still in the ring.
-  bool drain_pending() const { return drains_pending() > 0; }
-
-  /// Blocks for the OLDEST ring entry's outcome and consumes it. After a
-  /// failed job, the jobs queued behind it are returned as `skipped` (they
-  /// never touched their slots). Must not be called with an empty ring.
-  DrainOutcome take_drain_outcome();
-
-  /// Re-arms the ring after a failure has been fully consumed. Between a
-  /// job's failure and this call every enqueued job is skipped, even ones
-  /// that arrive after the failure (the enqueuer raced the error) — the
-  /// stop-at-first-failure contract covers the whole failure window.
-  void acknowledge_drain_failure();
-
-  /// Drains the whole ring: consumes every outcome, returns the last receipt
-  /// (nullopt when the ring was empty or nothing committed) and rethrows the
-  /// FIRST error — with that job's slot torn and its marker uncommitted.
-  std::optional<SaveReceipt> join_drain();
-
-  /// Power-failure emulation: cooperatively cancels the in-flight drain job
-  /// (the remaining chunks are never written; the slot stays torn with the
-  /// marker uncommitted), discards the queued jobs and any unconsumed
-  /// outcomes, and joins the worker. No-op when the ring is empty. Never
-  /// throws.
+  /// Power-failure emulation: cooperatively cancels the drain in flight (the
+  /// remaining chunks are never written; the slot stays torn with the marker
+  /// uncommitted), discards its unconsumed outcome, and joins the worker.
+  /// No-op when nothing was ever drained. Never throws.
   void abort_drain() noexcept;
 
   /// Verifies and loads the slot image back into the object pointers. Throws
@@ -255,33 +193,25 @@ class Backend {
   std::uint64_t load(int slot, std::span<const ObjectView> objs, const ChunkHooks& hooks = {});
 
   /// Torn-slot salvage: loads the slot at the interrupted-but-complete
-  /// version `want` a probe_torn() scan reported salvage-ready (chunks are
-  /// accepted when their [version, epoch] interval covers `want`; every
-  /// payload CRC must verify). The caller re-commits the marker afterwards
-  /// (recommit) to make the salvage durable. Throws TornCheckpoint when a
-  /// payload fails verification.
+  /// version `want` a probe_torn() scan reported salvage-ready (every chunk
+  /// header must carry `want` and every payload CRC must verify). The caller
+  /// re-commits the marker afterwards (recommit) to make the salvage durable.
+  /// Throws TornCheckpoint when a chunk fails verification.
   std::uint64_t load_salvage(int slot, std::uint64_t want, std::span<const ObjectView> objs,
                              const ChunkHooks& hooks = {});
 
   /// Re-commits the (slot, version) marker outside a save — the restore-side
-  /// commit that makes a successful salvage (or a dirty-commit fallback to
-  /// the aged slot) the newest checkpoint.
+  /// commit that makes a successful salvage the newest checkpoint.
   void recommit(int slot, std::uint64_t version) { commit_marker(slot, version); }
 
   /// Chunk-header scan classifying whether `slot` holds pieces of a save that
-  /// never committed, and whether that save is complete enough to salvage
-  /// (see TornProbe). Payloads are not read; missing/blank slots probe clean.
-  /// Torn evidence is counted against the slot's own committed header version
-  /// unless `base_override` is given (dirty-commit restores pass the marker
-  /// version: the slot's header may itself belong to the interrupted save).
-  TornProbe probe_torn(int slot, std::span<const ObjectView> objs,
-                       std::optional<std::uint64_t> base_override = std::nullopt);
+  /// never committed (chunks newer than the slot's own header), and whether
+  /// that save is complete enough to salvage (see TornProbe). Payloads are
+  /// not read; missing/blank slots probe clean.
+  TornProbe probe_torn(int slot, std::span<const ObjectView> objs);
 
   /// Newest committed (slot, version); version 0 means "no checkpoint yet".
   virtual std::pair<int, std::uint64_t> latest() const = 0;
-
-  /// Double-buffer slot count (1 for mirror-style incremental backends).
-  virtual int slot_count() const { return 2; }
 
   /// Raw slot image bytes (tests / crash inspection). Returns bytes read.
   std::size_t read_image(int slot, std::span<std::byte> out) const;
@@ -326,13 +256,11 @@ class Backend {
   std::uint64_t do_load(int slot, std::span<const ObjectView> objs, const ChunkHooks& hooks,
                         std::optional<std::uint64_t> salvage);
 
-  // ---- Async drain ring (one worker, strict FIFO) ------------------------
-  struct DrainJob;
-  struct Ring;
+  // ---- Async drain (one persistent worker, one save in flight) ----------
+  struct Drain;
   void drain_worker();
-  void ensure_worker();
 
-  std::unique_ptr<Ring> ring_;
+  std::unique_ptr<Drain> drain_;
 };
 
 }  // namespace adcc::checkpoint

@@ -15,10 +15,12 @@
 //   [SlotHeader][u64 object_bytes[object_count]]     <- written LAST in a save
 //   [ChunkHeader][payload] [ChunkHeader][payload] ...<- chunk_count entries
 //
-// The slot header is written after every chunk landed, and the backend's
-// (slot, version) marker is committed after that — exactly the double-buffer
-// commit order the seed used, so a crash mid-checkpoint still leaves the
-// previous checkpoint intact.
+// A chunk header carries the version of the save that wrote it; chunks the
+// dirty filter skipped keep their older version. The slot header is written
+// after every chunk landed, and the backend's (slot, version) marker is
+// committed after that — the double-buffer commit order, so a crash
+// mid-checkpoint leaves the previous checkpoint intact and the torn slot
+// holds chunks newer than its own header.
 #pragma once
 
 #include <cstddef>
@@ -49,26 +51,16 @@ struct ChunkConfig {
   std::size_t chunk_bytes = 256u << 10;  ///< --ckpt_chunk_kb (payload per chunk).
   int threads = 1;                       ///< --ckpt_threads (pipeline workers).
   /// --ckpt_async: CheckpointSet::save dispatches to save_async (stage +
-  /// background drain) instead of blocking through the device window.
+  /// background drain, one save in flight) instead of blocking through the
+  /// device window.
   bool async = false;
-  /// --ckpt_async_depth: staging-arena ring depth for save_async. Depth 1 is
-  /// the classic one-drain-in-flight handshake; deeper rings let bursty units
-  /// stage save K+1 while save K still drains (the backend serializes the
-  /// drains FIFO, so commit order — and crash semantics — are unchanged).
-  int async_depth = 1;
-  /// --ckpt_dirty_commit: mostly-clean images skip whole-slot alternation —
-  /// saves rewrite only dirty chunks in place in the committed slot and
-  /// refresh clean chunks' epoch stamps, with the marker still committing
-  /// last. A crash mid-save risks the in-place image (torn-slot salvage or
-  /// the aged other slot recover it); see checkpoint_set.hpp.
-  bool dirty_commit = false;
 };
 
 inline constexpr std::uint32_t kSlotMagic = 0x41444343u;   // "ADCC"
 inline constexpr std::uint32_t kChunkMagic = 0x41446B63u;  // "ADkc"
-/// Format 3: 40-byte ChunkHeader with per-chunk epoch stamps and one payload
-/// CRC; the payload is stored raw.
-inline constexpr std::uint32_t kChunkFormat = 3;
+/// Format 4: 32-byte ChunkHeader (the version of the save that wrote the
+/// chunk plus one payload CRC); the payload is stored raw.
+inline constexpr std::uint32_t kChunkFormat = 4;
 
 /// Fixed-size slot prologue; the object-size table (u64 per object) follows.
 struct SlotHeader {
@@ -91,15 +83,10 @@ struct ChunkHeader {
   std::uint32_t index = 0;          ///< Chunk index within the object.
   std::uint32_t payload_bytes = 0;  ///< Payload bytes after this header.
   std::uint64_t version = 0;        ///< Version of the save that wrote it.
-  /// Newest save this chunk's payload was verified valid for (>= version):
-  /// dirty-commit saves re-stamp clean chunks' epochs instead of rewriting
-  /// them, so a copy is good for every version in [version, epoch] — the
-  /// coherence interval torn-slot salvage unions over.
-  std::uint64_t epoch = 0;
   std::uint32_t payload_crc = 0;    ///< CRC of the payload.
   std::uint32_t header_crc = 0;     ///< CRC of this struct with header_crc = 0.
 };
-static_assert(sizeof(ChunkHeader) == 40);
+static_assert(sizeof(ChunkHeader) == 32);
 
 std::uint32_t slot_header_crc(const SlotHeader& h);
 std::uint32_t chunk_header_crc(const ChunkHeader& h);

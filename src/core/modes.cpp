@@ -129,8 +129,6 @@ ModeEnv make_env(Mode mode, const ModeEnvConfig& cfg) {
     cc.chunk_bytes = cfg.ckpt_chunk_bytes;
     cc.threads = cfg.ckpt_threads;
     cc.async = cfg.ckpt_async;
-    cc.async_depth = cfg.ckpt_async_depth;
-    cc.dirty_commit = cfg.ckpt_dirty_commit;
     env.backend->configure_chunks(cc);
   }
   return env;

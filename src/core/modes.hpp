@@ -72,13 +72,6 @@ struct ModeEnvConfig {
   /// --ckpt_async: checkpoint saves stage + drain in the background, so the
   /// next work unit overlaps the device window (sweepable axis ckpt_async=0+1).
   bool ckpt_async = false;
-  /// --ckpt_async_depth: staging-arena ring depth for asynchronous saves.
-  int ckpt_async_depth = 1;
-  /// --ckpt_dirty_commit: mostly-clean images rewrite only dirty chunks in
-  /// place (epoch-stamping the clean ones) instead of alternating whole
-  /// slots. Rejected for multi-shard groups (coordinated rollback needs
-  /// exactly-committed slot versions).
-  bool ckpt_dirty_commit = false;
 };
 
 /// Everything a mode needs, wired together. Members not used by the mode stay

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -556,7 +558,9 @@ double ScenarioRunner::run_once(ScenarioResult& result) {
   const bool flip_plan = cfg_.crash.kind == CrashScenario::Kind::kFlip;
   std::uint64_t flips_seen = 0;
   std::uint64_t detects_seen = 0;
+  bool flip_caught_by_throw = false;
   std::size_t flip_inject_unit = 0;
+  std::exception_ptr resume_detection;  // Caught by the resume loop below.
 
   // Reset just before the timed region: fuzz probes and prepare() above must
   // not pollute the totals, and after the last repetition the registry holds
@@ -571,6 +575,9 @@ double ScenarioRunner::run_once(ScenarioResult& result) {
     bool detected_by_throw = false;
     std::size_t throw_detect_unit = 0;
     try {
+      // A detection the resume loop caught is handled as if this
+      // iteration's run_step had raised it.
+      if (resume_detection) std::rethrow_exception(std::exchange(resume_detection, nullptr));
       // A unit starting while an asynchronous checkpoint drain is still in
       // flight overlaps the device window with compute — the async engine's
       // whole win; account its execution time separately.
@@ -632,10 +639,15 @@ double ScenarioRunner::run_once(ScenarioResult& result) {
         }
       }
       if (detected_by_throw) {
-        ++result.recomputation.flips_detected;
-        result.recomputation.detect_latency_units =
-            throw_detect_unit > flip_inject_unit ? throw_detect_unit - flip_inject_unit
-                                                 : 0;
+        // The one-shot flip caught again after a rollback is one more
+        // rollback, not one more detected flip: count and time the first
+        // catch only.
+        if (!std::exchange(flip_caught_by_throw, true)) {
+          ++result.recomputation.flips_detected;
+          result.recomputation.detect_latency_units =
+              throw_detect_unit > flip_inject_unit ? throw_detect_unit - flip_inject_unit
+                                                   : 0;
+        }
       } else if (fs.detected > detects_seen) {
         // Corrected-in-place detections (ABFT repair) never throw; they show
         // up in the polled stats with the run still on its happy path.
@@ -697,12 +709,19 @@ double ScenarioRunner::run_once(ScenarioResult& result) {
     // While a fail-stop trigger is still armed (a flip^TAIL link armed at
     // injection, with the flip's detection rolling back before the tail
     // fired), bail to the outer loop instead: its try/catch owns crash
-    // handling, and this bare loop must never have one fire inside it.
+    // handling, and this bare loop must never have one fire inside it. A
+    // workload check may catch a silent fault again during the re-execution
+    // (the restart row itself carried the corruption): that detection goes
+    // to the next iteration, whose recovery then starts lower.
     const std::size_t resume_to = crash_unit + (partial ? 1 : 0);
     Timer resume;
-    while (workload_.units_done() < resume_to && !(fault != nullptr && fault->armed()) &&
-           workload_.run_step()) {
-      workload_.make_durable();
+    try {
+      while (workload_.units_done() < resume_to && !(fault != nullptr && fault->armed()) &&
+             workload_.run_step()) {
+        workload_.make_durable();
+      }
+    } catch (const SilentFaultDetected&) {
+      resume_detection = std::current_exception();
     }
     result.recomputation.resume_seconds += resume.elapsed();
     result.recomputation.units_lost += rec.units_lost;

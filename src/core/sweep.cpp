@@ -380,11 +380,6 @@ ScenarioConfig cell_config(const Workload& workload, Mode mode, const CrashScena
   sc.env.ckpt_chunk_bytes =
       std::max<std::size_t>(1u << 10, opts.get_size("ckpt_chunk_kb", 256) << 10);
   sc.env.ckpt_async = opts.get_bool("ckpt_async");
-  sc.env.ckpt_async_depth = std::max(1, static_cast<int>(opts.get_int("ckpt_async_depth", 1)));
-  sc.env.ckpt_dirty_commit = opts.get_bool("ckpt_dirty_commit");
-  ADCC_CHECK(!sc.env.ckpt_dirty_commit || opts.get_size("shards", 1) <= 1,
-             "--ckpt_dirty_commit is incompatible with shards > 1 (coordinated "
-             "rollback needs exactly-committed slot versions)");
   workload.tune_env(mode, sc.env);
   if (opts.has("arena")) sc.env.arena_bytes = opts.get_size("arena", sc.env.arena_bytes);
   if (opts.has("slot")) sc.env.slot_bytes = opts.get_size("slot", sc.env.slot_bytes);
@@ -412,8 +407,7 @@ std::string baseline_key(const std::string& workload,
   std::string key = workload;
   for (const auto& [k, v] : assignment) {
     if (k == "mode" || k == "crash" || k == "policy" || k == "ckpt_threads" ||
-        k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "ckpt_async_depth" ||
-        k == "ckpt_dirty_commit" || k == "disk_mbps" || k == "shards" ||
+        k == "ckpt_chunk_kb" || k == "ckpt_async" || k == "disk_mbps" || k == "shards" ||
         k == "shard_stagger" || k == "backend" || k == "threads") {
       continue;
     }

@@ -45,9 +45,10 @@ struct WorkloadRecovery {
                                        ///< save classified as torn during
                                        ///< recovery (CRC/version evidence).
   std::size_t salvaged_chunks = 0;     ///< Chunks of an interrupted save that
-                                       ///< restore() recovered forward (CRC-
-                                       ///< valid, epoch-coherent) instead of
-                                       ///< rolling back to the prior version.
+                                       ///< restore() recovered forward (every
+                                       ///< chunk CRC-valid at that save's
+                                       ///< version) instead of rolling back
+                                       ///< to the prior version.
   double repair_seconds = 0.0;         ///< recover()-internal re-execution time.
 
   // Multi-shard group recoveries (core::ShardGroup) report the group-level

@@ -63,8 +63,8 @@ BackendBundle make_backend(Kind kind, double throttle = 0.0) {
   return b;
 }
 
-/// ChunkConfig with every non-positional knob (async, ring depth, dirty
-/// commit) at its default — the tests below flip those explicitly.
+/// ChunkConfig with the async knob at its default — the tests below flip it
+/// explicitly.
 ChunkConfig chunk_cfg(std::size_t chunk_bytes, int threads) {
   ChunkConfig cc;
   cc.chunk_bytes = chunk_bytes;
@@ -377,90 +377,42 @@ TEST(FileBackend, CorruptedPayloadFailsItsCrc) {
     f.write(&flip, 1);
   }
   EXPECT_THROW(b.backend->load(0, objs), TornCheckpoint);
-  // Salvage accepts the chunk's [version, epoch] interval, but its payload
-  // still has to pass the CRC.
+  // Salvage accepts the chunk's version, but its payload still has to pass
+  // the CRC.
   EXPECT_THROW(b.backend->load_salvage(0, 5, objs), TornCheckpoint);
 }
 
-TEST(CheckpointSet, HintedSaveIntoFreshSlotWritesTheFullImage) {
-  // The first save landing in a slot is implicitly full: dirty hints may not
-  // punch never-written holes into a committed image.
-  auto b = make_backend(Kind::kNvm);
+TEST_P(BackendTest, DirtyFilterWritesOnlyModifiedChunksAcrossObjects) {
+  auto b = make_backend(GetParam());
   b.backend->configure_chunks(chunk_cfg(4096, 1));
-  std::vector<double> x(4 * 4096 / 8, 1.0);
+  std::vector<double> x(8 * 4096 / 8, 1.0), y(4096 / 8, 2.0);  // 8 + 1 chunks.
   CheckpointSet set(*b.backend);
   set.add("x", x.data(), x.size() * 8);
-  set.save();  // v1 -> slot 1.
-  x[0] = 2.0;
-  const CheckpointSet::DirtyRange hints[] = {{0, 0, 8}};
-  set.save(hints);  // v2 -> slot 0's FIRST image: every chunk must land.
-  EXPECT_EQ(set.last_save().chunks_written, 4u);
-  std::fill(x.begin(), x.end(), -1.0);
-  EXPECT_EQ(set.restore(), 2u);
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
-  EXPECT_DOUBLE_EQ(x[512], 1.0);  // Un-hinted chunk restored, not a hole.
-}
-
-// The mirror-style incremental configuration: one NvmBackend slot, 4 KB
-// chunks, each save rewriting only the chunks whose payload changed.
-struct MirrorSet {
-  explicit MirrorSet(std::size_t capacity)
-      : perf(nvm::PerfConfig{.dram_bw_bytes_per_s = 10e9, .bandwidth_slowdown = 1.0,
-                             .enabled = false}),
-        region(2 * capacity, perf),
-        backend(region, capacity, /*slots=*/1),
-        set(backend) {
-    backend.configure_chunks(chunk_cfg(4096, 1));
-  }
-  nvm::PerfModel perf;
-  nvm::NvmRegion region;
-  NvmBackend backend;
-  CheckpointSet set;
-};
-
-TEST(CheckpointSet, OneSlotMirrorRewritesOnlyModifiedChunks) {
-  MirrorSet m(1u << 20);
-  std::vector<double> x(8 * 4096 / 8, 1.0), y(4096 / 8, 2.0);
-  m.set.add("x", x.data(), x.size() * 8);
-  m.set.add("y", y.data(), y.size() * 8);
-  EXPECT_EQ(m.set.restore(), 0u);  // Nothing saved yet: objects untouched.
+  set.add("y", y.data(), y.size() * 8);
+  EXPECT_EQ(set.restore(), 0u);  // Nothing saved yet: objects untouched.
   EXPECT_DOUBLE_EQ(x[0], 1.0);
-  m.set.save();
-  EXPECT_EQ(m.set.last_save().payload_bytes_written, 9u * 4096);  // First image is full.
-  m.set.save();
-  EXPECT_EQ(m.set.last_save().chunks_written, 0u);  // Unchanged: nothing written.
-  x[0] = 2.0;                // Chunk 0 of x.
-  x[5 * 4096 / 8] = 3.0;     // Chunk 5 of x.
+  for (std::uint64_t v = 1; v <= 2; ++v) {
+    set.save();  // The first image in each slot is full.
+    EXPECT_EQ(set.last_save().chunks_written, 9u) << "v" << v;
+    EXPECT_EQ(set.last_save().payload_bytes_written, 9u * 4096) << "v" << v;
+  }
+  set.save();  // v3 -> slot 1, unchanged since v1: nothing written.
+  EXPECT_EQ(set.last_save().chunks_written, 0u);
+  EXPECT_EQ(set.last_save().chunks_skipped, 9u);
+  x[0] = 2.0;             // Chunk 0 of x.
+  x[5 * 4096 / 8] = 3.0;  // Chunk 5 of x.
   y[0] = 5.0;
-  m.set.save();
-  EXPECT_EQ(m.set.last_save().chunks_written, 3u);
-  EXPECT_EQ(m.set.last_save().payload_bytes_written, 3u * 4096);
+  set.save();  // v4 -> slot 0, which holds v2.
+  EXPECT_EQ(set.last_save().chunks_written, 3u);
+  EXPECT_EQ(set.last_save().payload_bytes_written, 3u * 4096);
   std::fill(x.begin(), x.end(), -1.0);
   std::fill(y.begin(), y.end(), -1.0);
-  EXPECT_EQ(m.set.restore(), 3u);
+  EXPECT_EQ(set.restore(), 4u);
   EXPECT_DOUBLE_EQ(x[0], 2.0);
   EXPECT_DOUBLE_EQ(x[1], 1.0);
   EXPECT_DOUBLE_EQ(x[5 * 4096 / 8], 3.0);
   EXPECT_DOUBLE_EQ(y[0], 5.0);
-}
-
-TEST(CheckpointSet, HintedSaveExaminesOnlyHintedChunks) {
-  MirrorSet m(1u << 20);
-  std::vector<double> x(8 * 4096 / 8, 1.0);
-  m.set.add("x", x.data(), x.size() * 8);
-  m.set.save();
-  x[4096 / 8 - 1] = 9.0;     // Last double of chunk 0 ...
-  x[4096 / 8] = 9.0;         // ... and first of chunk 1: one hint spans both.
-  x[3 * 4096 / 8] = 4.0;
-  const CheckpointSet::DirtyRange hints[] = {{0, 4096 - 8, 16}, {0, 3 * 4096, 8}};
-  m.set.save(hints);
-  EXPECT_EQ(m.set.last_save().chunks_examined(), 3u);  // The other 5 are never scanned.
-  EXPECT_EQ(m.set.last_save().chunks_written, 3u);
-
-  const CheckpointSet::DirtyRange unknown_object[] = {{3, 0, 8}};
-  EXPECT_THROW(m.set.save(unknown_object), ContractViolation);
-  const CheckpointSet::DirtyRange out_of_bounds[] = {{0, 8 * 4096, 8}};
-  EXPECT_THROW(m.set.save(out_of_bounds), ContractViolation);
+  EXPECT_DOUBLE_EQ(y[1], 2.0);
 }
 
 TEST(HeteroBackend, InterruptedSaveDebrisDoesNotTearTheNextSave) {
@@ -743,164 +695,57 @@ TEST_P(BackendTest, ConfiguredAsyncDispatchesPlainSave) {
   EXPECT_DOUBLE_EQ(x[0], 6.5);
 }
 
-// ------------------------------------------------------ ring depth crashes --
+// --------------------------------------------------- async crash matrix --
 
-TEST_P(BackendTest, RingDepthCrashMatrixRecoversACommittedConsistentState) {
-  // Every async crash site (staging pass, background drain, ring admission)
-  // at every supported ring depth: whatever the cut lost, restore must land
-  // on a version whose payload matches it exactly, and the set must accept
-  // (and durably commit) new saves afterwards.
-  for (int depth : {1, 2, 4}) {
-    for (const char* at : {kPointChunkStaged, kPointChunkDrained, kPointRingStaged}) {
-      if (depth == 1 && std::string_view(at) == kPointRingStaged) {
-        continue;  // ring_stage only fires for rings deeper than one.
-      }
-      SCOPED_TRACE(::testing::Message() << "depth=" << depth << " point=" << at);
-      auto b = make_backend(GetParam());
-      ChunkConfig cc = chunk_cfg(4096, 1);
-      cc.async_depth = depth;
-      b.backend->configure_chunks(cc);
-      std::vector<double> x(4 * 4096 / 8, 0.0);
-      AsyncInterruptibleSet is(*b.backend, at);
-      is.set.add("x", x.data(), x.size() * 8);
-      for (std::uint64_t v = 1; v <= 2; ++v) {  // Two committed baselines.
+TEST_P(BackendTest, AsyncCrashMatrixRecoversACommittedConsistentState) {
+  // Both async crash sites (staging pass, background drain): whatever the cut
+  // lost, restore must land on a version whose payload matches it exactly,
+  // and the set must accept (and durably commit) new async saves afterwards.
+  for (const char* at : {kPointChunkStaged, kPointChunkDrained}) {
+    SCOPED_TRACE(::testing::Message() << "point=" << at);
+    auto b = make_backend(GetParam());
+    b.backend->configure_chunks(chunk_cfg(4096, 1));
+    std::vector<double> x(4 * 4096 / 8, 0.0);
+    AsyncInterruptibleSet is(*b.backend, at);
+    is.set.add("x", x.data(), x.size() * 8);
+    for (std::uint64_t v = 1; v <= 2; ++v) {  // Two committed baselines.
+      std::fill(x.begin(), x.end(), static_cast<double>(v));
+      is.set.save_async();
+      ASSERT_EQ(is.set.wait_durable(), v);
+    }
+    is.arm_after = 2;
+    bool cut = false;
+    try {
+      // Two back-to-back saves: the second joins the first, so the crash can
+      // land with a save already handed to the drain.
+      for (std::uint64_t v = 3; v <= 4; ++v) {
         std::fill(x.begin(), x.end(), static_cast<double>(v));
         is.set.save_async();
-        ASSERT_EQ(is.set.wait_durable(), v);
       }
-      is.arm_after = 2;
-      bool cut = false;
-      try {
-        // Overfill the ring so the crash can land with saves queued behind it.
-        for (std::uint64_t v = 3; v <= 3 + static_cast<std::uint64_t>(depth); ++v) {
-          std::fill(x.begin(), x.end(), static_cast<double>(v));
-          is.set.save_async();
-        }
-        is.set.wait_durable();
-      } catch (const TestPowerFailure&) {
-        cut = true;
-      }
-      EXPECT_TRUE(cut);
-      is.arm_after = 0;
-      // Power-loss epilogue, as the workloads' inject_crash does it.
-      is.set.abort_async();
-      if (b.dram) b.dram->discard();
-      std::fill(x.begin(), x.end(), 0.0);
-      const std::uint64_t restored = is.set.restore();
-      EXPECT_GE(restored, 2u);  // Never behind the pre-burst commits.
-      EXPECT_LE(restored, 3 + static_cast<std::uint64_t>(depth));
-      EXPECT_DOUBLE_EQ(x[0], static_cast<double>(restored));
-      EXPECT_DOUBLE_EQ(x.back(), static_cast<double>(restored));
-      // Life goes on: the next save commits durably past the crash.
-      std::fill(x.begin(), x.end(), 9.0);
-      EXPECT_EQ(is.set.save(), restored + 1);
-      EXPECT_EQ(b.backend->latest().second, restored + 1);
+      is.set.wait_durable();
+    } catch (const TestPowerFailure&) {
+      cut = true;
     }
+    EXPECT_TRUE(cut);
+    is.arm_after = 0;
+    // Power-loss epilogue, as the workloads' inject_crash does it.
+    is.set.abort_async();
+    if (b.dram) b.dram->discard();
+    std::fill(x.begin(), x.end(), 0.0);
+    const std::uint64_t restored = is.set.restore();
+    EXPECT_GE(restored, 2u);  // Never behind the pre-crash commits.
+    EXPECT_LE(restored, 4u);
+    EXPECT_DOUBLE_EQ(x[0], static_cast<double>(restored));
+    EXPECT_DOUBLE_EQ(x.back(), static_cast<double>(restored));
+    // Life goes on: the next async save commits durably past the crash.
+    std::fill(x.begin(), x.end(), 9.0);
+    EXPECT_EQ(is.set.save_async(), restored + 1);
+    EXPECT_EQ(is.set.wait_durable(), restored + 1);
+    EXPECT_EQ(b.backend->latest().second, restored + 1);
   }
 }
 
-TEST_P(BackendTest, DrainFailureSkipsQueuedRingSavesAndRetryRecommits) {
-  auto b = make_backend(GetParam());
-  ChunkConfig cc = chunk_cfg(4096, 1);
-  cc.async_depth = 4;
-  b.backend->configure_chunks(cc);
-  std::vector<double> x(4 * 4096 / 8, 1.0);
-  AsyncInterruptibleSet is(*b.backend, kPointChunkDrained);
-  is.set.add("x", x.data(), x.size() * 8);
-  is.set.save_async();
-  ASSERT_EQ(is.set.wait_durable(), 1u);  // v1 committed.
-  is.arm_after = 1;  // The next drained chunk — v2's first — dies.
-  std::fill(x.begin(), x.end(), 2.0);
-  is.set.save_async();  // v2: its drain will fail.
-  std::fill(x.begin(), x.end(), 3.0);
-  is.set.save_async();  // v3, queued behind the failure: must never run.
-  std::fill(x.begin(), x.end(), 4.0);
-  is.set.save_async();  // v4, possibly enqueued only after the failure hit.
-  EXPECT_THROW(is.set.wait_durable(), TestPowerFailure);
-  EXPECT_EQ(is.set.version(), 1u);       // Rolled back to before the failed save.
-  EXPECT_FALSE(is.set.async_pending());  // The queued saves were dropped.
-  // v1 is still the restorable truth...
-  if (b.dram) b.dram->discard();
-  std::fill(x.begin(), x.end(), 0.0);
-  EXPECT_EQ(is.set.restore(), 1u);
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
-  // ...and the ring accepts (and commits) new work: the skip latch covering
-  // the failure window must not leak into the retry.
-  is.arm_after = 0;
-  std::fill(x.begin(), x.end(), 5.0);
-  EXPECT_EQ(is.set.save_async(), 2u);
-  EXPECT_EQ(is.set.wait_durable(), 2u);
-  std::fill(x.begin(), x.end(), 0.0);
-  EXPECT_EQ(is.set.restore(), 2u);
-  EXPECT_DOUBLE_EQ(x[0], 5.0);
-}
-
-// -------------------------------------- dirty-chunk commit and salvage --
-
-TEST_P(BackendTest, DirtyCommitStampsCleanChunksAndReusesTheCommittedSlot) {
-  auto b = make_backend(GetParam());
-  ChunkConfig cc = chunk_cfg(4096, 1);
-  cc.dirty_commit = true;
-  b.backend->configure_chunks(cc);
-  std::vector<double> x(4 * 4096 / 8, 1.0);
-  CheckpointSet set(*b.backend);
-  set.add("x", x.data(), x.size() * 8);
-  set.save();  // v1: no committed image anywhere yet — classic alternation.
-  const int slot_v1 = b.backend->latest().first;
-  set.save();  // v2: the OTHER slot holds no fallback yet — still alternates.
-  const int slot_v2 = b.backend->latest().first;
-  EXPECT_EQ(slot_v2, 1 - slot_v1);
-  x[0] = 2.0;  // One dirty chunk.
-  set.save();  // v3: both slots committed — in-place dirty commit engages.
-  EXPECT_EQ(b.backend->latest().first, slot_v2);  // Same slot re-committed.
-  EXPECT_EQ(b.backend->latest().second, 3u);
-  EXPECT_EQ(set.last_save().chunks_written, 1u);
-  EXPECT_EQ(set.last_save().chunks_stamped, 3u);
-  EXPECT_EQ(set.last_save().chunks_skipped, 0u);
-  std::fill(x.begin(), x.end(), 0.0);
-  EXPECT_EQ(set.restore(), 3u);
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
-  EXPECT_DOUBLE_EQ(x[512], 1.0);  // Stamped chunk intact.
-}
-
-TEST_P(BackendTest, TornInPlaceSaveFallsBackToTheAgedSlot) {
-  auto b = make_backend(GetParam());
-  ChunkConfig cc = chunk_cfg(4096, 1);
-  cc.dirty_commit = true;
-  b.backend->configure_chunks(cc);
-  std::vector<double> x(4 * 4096 / 8, 1.0);
-  InterruptibleSet is(*b.backend);
-  is.set.add("x", x.data(), x.size() * 8);
-  is.set.save();  // v1.
-  std::fill(x.begin(), x.end(), 2.0);
-  is.set.save();  // v2 — the slot the in-place save will now rewrite.
-  std::fill(x.begin(), x.end(), 3.0);  // Every chunk dirty.
-  is.arm_after_chunks = 2;  // Power fails two chunks into the in-place save.
-  EXPECT_THROW(is.set.save(), TestPowerFailure);
-  EXPECT_EQ(is.set.version(), 2u);  // Rolled back.
-  if (b.dram) b.dram->discard();
-  std::fill(x.begin(), x.end(), 0.0);
-  const std::uint64_t restored = is.set.restore();
-  if (GetParam() == Kind::kHetero) {
-    // The interrupted chunks died in volatile DRAM staging: the in-place
-    // image is intact and the marker's checkpoint survives untorn.
-    EXPECT_EQ(restored, 2u);
-    EXPECT_DOUBLE_EQ(x[0], 2.0);
-    EXPECT_EQ(is.set.last_restore().torn_chunks, 0u);
-  } else {
-    // The committed image itself is torn (half v3, half v2, epochs
-    // incoherent): restore falls back to the aged other slot and re-commits
-    // it — the documented dirty-commit recovery trade.
-    EXPECT_EQ(restored, 1u);
-    EXPECT_DOUBLE_EQ(x[0], 1.0);
-    EXPECT_GE(is.set.last_restore().torn_chunks, 1u);
-  }
-  // Life goes on from whatever was recovered.
-  is.arm_after_chunks = 0;
-  std::fill(x.begin(), x.end(), 7.0);
-  EXPECT_EQ(is.set.save(), restored + 1);
-  EXPECT_EQ(b.backend->latest().second, restored + 1);
-}
+// ------------------------------------------------------- torn-slot salvage --
 
 TEST_P(BackendTest, TornSlotSalvageRecoversACompletedSaveAndRollsBackShortOfOne) {
   // The salvage boundary, one chunk apart: a crash AFTER the last chunk write

@@ -501,6 +501,27 @@ TEST(ScenarioRunner, FlipDetectedByOnlineAbftInAlgModes) {
   }
 }
 
+TEST(ScenarioRunner, RepeatedFlipDetectionRollsBackBelowTheRestartRow) {
+  // At the default CG size, flip:20:4 corrupts a history row that still
+  // passes the Eq. 1/2 invariants; the iterations after it amplify the error
+  // until the online check fires. Recovery restarts from that row, the
+  // deterministic re-execution trips the same check, and the second rollback
+  // must start below the row instead of re-picking it — an accounted
+  // outcome (two rollbacks, one detected flip) that verifies.
+  cg::CgWorkload w(cg::CgWorkloadConfig{});
+  for (Mode m : {Mode::kAlgNvm, Mode::kAlgHetero}) {
+    ScenarioConfig cfg = tiny_config(w, m);
+    cfg.crash = *parse_crash("flip:20:4");
+    const ScenarioResult res = run_scenario(w, cfg);
+    const RecomputationBreakdown& rb = res.recomputation;
+    EXPECT_EQ(rb.flips, 1u) << mode_name(m);
+    EXPECT_EQ(rb.flips_detected, 1u) << mode_name(m);
+    EXPECT_EQ(res.crashes, 2u) << mode_name(m);
+    EXPECT_EQ(res.crash_site, "cg:invariant") << mode_name(m);
+    EXPECT_TRUE(res.verified) << mode_name(m);
+  }
+}
+
 TEST(ScenarioRunner, FlipIsAnHonestMissInUndefendedModes) {
   // The same seed in modes with no integrity checks: the flip fires, nothing
   // detects it, and end-of-run verify() reports the corruption honestly.
